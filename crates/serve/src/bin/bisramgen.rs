@@ -7,9 +7,9 @@
 //!           --out build/myram
 //! ```
 //!
-//! Outputs written to the `--out` directory: `datasheet.txt`,
-//! `areas.txt`, `floorplan.svg`, `trpla_and.plane`, `trpla_or.plane`,
-//! `sense_path.sp`, and (with `--cif`, small modules only) `layout.cif`.
+//! The `--out` directory receives, byte for byte, the sections of the
+//! equivalent `job = compile` request (`datasheet.txt`, `areas.txt`,
+//! `floorplan.svg`, PLA planes, SPICE deck, ...).
 //!
 //! The `chip-diagnose` subcommand runs the chip-level
 //! diagnose→allocate→repair flow on a heterogeneous multi-macro chip
@@ -33,25 +33,29 @@
 //! bisramgen request --socket /tmp/bisram.sock --shutdown
 //! ```
 //!
+//! One parser maps every subcommand's flags onto a [`Spec`]; compile,
+//! `fleet` and `rare-yield` parse it as a job and run the service's own
+//! executors ([`bisram_serve::run`]).
+//!
 //! Exit codes are uniform across subcommands: 0 success, 1 execution
 //! failure, 2 usage or spec error (see `--help`).
 
 use bisram_exec::resolve_jobs;
 use bisram_mem::ArrayOrg;
+use bisram_serve::run::{self, CIF_SKIPPED};
+use bisram_serve::spec::{parse_f64, parse_int, parse_probability, parse_u64, parse_usize};
 use bisram_serve::{
-    run_sweep, Client, ClientError, Daemon, DaemonConfig, Listen, Service, SweepBackend,
-    SweepSpec,
+    process_by_name, run_sweep, Client, ClientError, CompileJob, Daemon, DaemonConfig, FleetJob,
+    JobFailure, Listen, RareJob, Service, Spec, SweepBackend, SweepSpec,
 };
-use bisram_tech::Process;
 use bisram_yield::montecarlo::simulate_yield_seeded;
 use bisram_yield::optimize::optimize_spares_measured;
-use bisram_yield::rare::{agreement_sigma, RareEngine, TrialKernel};
+use bisram_yield::rare::agreement_sigma;
 use bisramgen::diag::{Transport, TransportFaults};
 use bisramgen::field::{
     heterogeneous_chip, simulate_fleet_golden_jobs, simulate_fleet_jobs, ChipConfig, ChipModel,
-    FieldConfig, SparePolicy,
 };
-use bisramgen::{compile_with, ChipSheet, CompileOptions, RamParams, VerifyMode};
+use bisramgen::{ChipSheet, CompileOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -95,51 +99,25 @@ impl From<String> for CliError {
     }
 }
 
+// A job the executors reject as a bad request (400) is a usage error;
+// every other job failure is an execution failure.
+impl From<JobFailure> for CliError {
+    fn from(failure: JobFailure) -> CliError {
+        let code = if failure.code == 400 { 2 } else { 1 };
+        CliError {
+            code,
+            message: failure.message,
+        }
+    }
+}
+
 const EXIT_CODES: &str = "
 EXIT CODES:
   0  success
   1  execution failure (compile error, verification violations,
      crossval FAIL, I/O or daemon errors)
-  2  usage or spec error (unknown flags, invalid parameters)
+  2  usage or spec error (unknown or repeated flags, invalid parameters)
 ";
-
-struct Args {
-    words: usize,
-    bpw: usize,
-    bpc: usize,
-    spares: usize,
-    process: String,
-    gate_size: i64,
-    strap_every: usize,
-    strap_lambda: i64,
-    out: PathBuf,
-    cif: bool,
-    jobs: Option<usize>,
-    timings: bool,
-    verify: bool,
-    verify_mode: VerifyMode,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            words: 1024,
-            bpw: 32,
-            bpc: 4,
-            spares: 4,
-            process: "CDA.7u3m1p".to_owned(),
-            gate_size: 2,
-            strap_every: 32,
-            strap_lambda: 12,
-            out: PathBuf::from("bisramgen_out"),
-            cif: false,
-            jobs: None,
-            timings: false,
-            verify: false,
-            verify_mode: VerifyMode::Flat,
-        }
-    }
-}
 
 const USAGE: &str = "\
 bisramgen - compile a built-in self-repairable static RAM
@@ -161,10 +139,10 @@ OPTIONS:
   --timings        print the per-stage pipeline trace (wall time, cache hits)
   --verify         run physical verification (DRC + extraction + LVS) on every
                    macrocell; writes verify.txt, exits nonzero on violations
-  --verify-mode M  flat (default) checks every placed shape; hier verifies each
-                   distinct cell once behind a cached certificate and checks
-                   only instance-boundary halos — same report, much faster on
-                   large arrays
+  --verify-mode M  hier (default) verifies each distinct cell once behind a
+                   cached certificate and checks only instance-boundary halos;
+                   flat checks every placed shape and is hier's oracle — same
+                   report, much slower on large arrays
   --help           show this text
 
 SUBCOMMANDS:
@@ -308,7 +286,8 @@ OPTIONS:
   --help            show this text
 
 Prints one `fleet <key>: <value>` line per aggregate tally (grep-friendly),
-then the survival curve on the session grid.
+then the survival curve — the `fleet.txt` section of a `job = fleet`
+request with the same keys (which defaults to 1000 lifetimes).
 ";
 
 const RARE_USAGE: &str = "\
@@ -341,130 +320,218 @@ OPTIONS:
   --max-spares N   spare-sweep upper bound (default 16)
   --help           show this text
 
-Prints one `rare <key>: <value>` line per result (grep-friendly). The
+Prints one `rare <key>: <value>` line per result (grep-friendly), led by
+the `rare.txt` lines of a `job = rare-yield` request with the same keys
+(a request defaults to target-p 1e-4, 400 trials, a 64-trial pilot). The
 measured per-cell failure probability is fed into the spare-count cost
 optimizer, and the chosen organization is re-checked by the end-to-end
 defect-pattern Monte Carlo with its Wilson interval. Exits nonzero on a
 crossval FAIL or usage errors. Every line is byte-identical at any --jobs.
 ";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
+/// A subcommand body: the parsed options and the operands.
+type Body = fn(Spec, Vec<String>) -> Result<(), CliError>;
+
+/// Every invocation: the subcommand word (empty for the default
+/// compile), its `--help` text — also its option table, see
+/// [`documented_options`] — whether it takes operands, and its body.
+const COMMANDS: [(&str, &str, bool, Body); 7] = [
+    ("", USAGE, false, compile),
+    ("chip-diagnose", CHIP_USAGE, false, chip_diagnose),
+    ("fleet", FLEET_USAGE, false, fleet),
+    ("rare-yield", RARE_USAGE, false, rare_yield),
+    ("serve", SERVE_USAGE, false, serve),
+    ("request", REQUEST_USAGE, true, request),
+    ("sweep", SWEEP_USAGE, false, sweep),
+];
+
+/// The options a usage text documents, as `(name, takes_value)`: every
+/// line that opens with `  --name`. An upper-case placeholder after the
+/// name (`N`, `DIR`, `E:L`) marks an option that takes a value; a
+/// switch is followed directly by its description. What `--help` shows
+/// is therefore exactly what parses.
+fn documented_options(usage: &str) -> impl Iterator<Item = (&str, bool)> {
+    usage.lines().filter_map(|line| {
+        let mut words = line.strip_prefix("  --")?.split_whitespace();
+        let name = words.next()?;
+        let takes_value = words
+            .next()
+            .is_some_and(|w| w.chars().all(|c| c.is_ascii_uppercase() || c == ':'));
+        Some((name, takes_value))
+    })
+}
+
+/// The one flag parser: maps `--key value` onto a `key = value` line of
+/// a [`Spec`] and a bare switch `--key` onto `key = 1`, accepting
+/// exactly the options `usage` documents, each at most once. Returns the
+/// spec and the operands (when `operands` allows any).
+fn flag_spec(
+    usage: &str,
+    operands: bool,
+    args: &[String],
+) -> Result<(Spec, Vec<String>), CliError> {
+    let mut spec = Spec::default();
+    let mut rest = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            print!("{usage}{EXIT_CODES}");
+            std::process::exit(0);
+        }
+        let option = arg
+            .strip_prefix("--")
+            .and_then(|name| documented_options(usage).find(|(n, _)| *n == name));
+        let Some((name, takes_value)) = option else {
+            if operands && !arg.starts_with('-') {
+                rest.push(arg.clone());
+                continue;
+            }
+            return Err(format!("unknown option {arg:?}").into());
         };
-        match flag.as_str() {
-            "--words" => args.words = parse_num(&value("--words")?)?,
-            "--bpw" => args.bpw = parse_num(&value("--bpw")?)?,
-            "--bpc" => args.bpc = parse_num(&value("--bpc")?)?,
-            "--spares" => args.spares = parse_num(&value("--spares")?)?,
-            "--process" => args.process = value("--process")?,
-            "--gate-size" => args.gate_size = parse_num(&value("--gate-size")?)? as i64,
-            "--strap" => {
-                let v = value("--strap")?;
-                let (e, l) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("--strap expects E:L, got {v:?}"))?;
-                args.strap_every = parse_num(e)?;
-                args.strap_lambda = parse_num(l)? as i64;
-            }
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--cif" => args.cif = true,
-            "--jobs" => args.jobs = Some(parse_num(&value("--jobs")?)?),
-            "--timings" => args.timings = true,
-            "--verify" => args.verify = true,
-            "--verify-mode" => {
-                let v = value("--verify-mode")?;
-                args.verify_mode = VerifyMode::parse(&v)
-                    .ok_or_else(|| format!("--verify-mode expects flat|hier, got {v:?}"))?;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option {other:?} (try --help)")),
+        let value = if takes_value {
+            it.next()
+                .ok_or_else(|| CliError::usage(format!("{arg} needs a value")))?
+                .clone()
+        } else {
+            "1".to_owned()
+        };
+        if spec.values(name).is_some() {
+            return Err(CliError::usage(format!("{arg} given twice")));
+        }
+        spec.set(name, value);
+    }
+    Ok((spec, rest))
+}
+
+/// Takes a CLI-only option out of `spec`, leaving the job keys behind.
+fn take(spec: &mut Spec, key: &str) -> Option<String> {
+    spec.remove(key)
+        .and_then(|values| values.into_iter().next())
+}
+
+/// [`take`], parsed by one of the spec module's typed helpers.
+fn take_as<T>(
+    spec: &mut Spec,
+    key: &str,
+    parse: fn(&str, &str) -> Result<T, String>,
+) -> Result<Option<T>, CliError> {
+    take(spec, key)
+        .map(|v| parse(key, &v))
+        .transpose()
+        .map_err(CliError::usage)
+}
+
+/// `spec` with the CLI defaults that differ from a job request's filled
+/// in where the flags left them out.
+fn with_defaults(mut spec: Spec, defaults: &[(&str, &str)]) -> Spec {
+    for &(key, value) in defaults {
+        if spec.values(key).is_none() {
+            spec.set(key, value);
         }
     }
-    Ok(args)
+    spec
 }
 
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse::<usize>()
-        .map_err(|_| format!("expected a number, got {s:?}"))
-}
-
-fn parse_prob(s: &str) -> Result<f64, String> {
-    let p = s
-        .parse::<f64>()
-        .map_err(|_| format!("expected a probability, got {s:?}"))?;
-    if (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(format!("probability {p} outside [0, 1]"))
+fn compile(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
+    let out = PathBuf::from(take(&mut spec, "out").unwrap_or_else(|| "bisramgen_out".to_owned()));
+    let jobs = take_as(&mut spec, "jobs", parse_usize)?;
+    let timings = take(&mut spec, "timings").is_some();
+    let verify = take(&mut spec, "verify").is_some();
+    let mode = take(&mut spec, "verify-mode").unwrap_or_else(|| "hier".to_owned());
+    if !matches!(mode.as_str(), "flat" | "hier") {
+        return Err(format!("--verify-mode expects flat|hier, got {mode:?}").into());
     }
+    spec.set("verify", if verify { mode.as_str() } else { "none" });
+    if let Some(strap) = take(&mut spec, "strap") {
+        let (every, lambda) = strap
+            .split_once(':')
+            .ok_or_else(|| format!("--strap expects E:L, got {strap:?}"))?;
+        spec.set("strap-every", every);
+        spec.set("strap-lambda", lambda);
+    }
+    let job = CompileJob::from_spec(&spec)?;
+
+    eprintln!("compiling {} ...", job.params()?);
+    let mut options = CompileOptions::new().with_verify(verify);
+    if let Some(jobs) = jobs {
+        options = options.with_jobs(jobs);
+    }
+    let compiled = run::compile(&job, options, true)?;
+    let ram = &compiled.ram;
+    if timings {
+        eprintln!("{}", ram.trace());
+    }
+
+    std::fs::create_dir_all(&out)
+        .map_err(|e| CliError::failure(format!("creating {out:?}: {e}")))?;
+    for section in &compiled.sections {
+        if section.name == "layout.cif" && section.content == CIF_SKIPPED {
+            eprintln!("  skipping CIF: module too large for a flattened export");
+            continue;
+        }
+        let path = out.join(&section.name);
+        std::fs::write(&path, &section.content)
+            .map_err(|e| CliError::failure(format!("writing {path:?}: {e}")))?;
+        eprintln!("  wrote {}", path.display());
+    }
+    if let Some(report) = ram.verify_report() {
+        if report.is_clean() {
+            eprintln!(
+                "  verify: clean ({} macrocells, 0 drc violations, 0 lvs mismatches)",
+                report.cells.len()
+            );
+        } else {
+            eprintln!(
+                "  verify: DIRTY ({} drc violations, {} lvs mismatches) — see verify.txt",
+                report.drc_violations(),
+                report.lvs_mismatches()
+            );
+        }
+    }
+
+    eprintln!(
+        "done: {} states / {} FFs, {:.2}% overhead, {:.2} ns access",
+        ram.control_program().state_count(),
+        ram.control_program().flip_flops(),
+        ram.areas().overhead_fraction() * 100.0,
+        ram.datasheet().access_time_s * 1e9
+    );
+    if compiled.verify_clean == Some(false) {
+        return Err(CliError::failure("physical verification found violations"));
+    }
+    Ok(())
 }
 
-fn chip_diagnose(args: Vec<String>) -> Result<(), String> {
-    let mut macros = 16usize;
-    let mut seed = 1u64;
-    let mut budget = u64::MAX;
-    let mut process_name = "CDA.7u3m1p".to_owned();
-    let mut jobs = None;
+fn chip_diagnose(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
+    let macros = take_as(&mut spec, "macros", parse_usize)?.unwrap_or(16);
+    let seed = take_as(&mut spec, "seed", parse_u64)?.unwrap_or(1);
+    let budget = take_as(&mut spec, "budget", parse_u64)?.unwrap_or(u64::MAX);
+    let process_name = take(&mut spec, "process").unwrap_or_else(|| "CDA.7u3m1p".to_owned());
+    let jobs = take_as(&mut spec, "jobs", parse_usize)?;
     let mut faults = TransportFaults::none();
-
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--macros" => macros = parse_num(&value("--macros")?)?,
-            "--seed" => {
-                let v = value("--seed")?;
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("expected a seed, got {v:?}"))?;
-            }
-            "--budget" => {
-                let v = value("--budget")?;
-                budget = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("expected a budget, got {v:?}"))?;
-            }
-            "--process" => process_name = value("--process")?,
-            "--jobs" => jobs = Some(parse_num(&value("--jobs")?)?),
-            "--stuck-bit" => {
-                let v = value("--stuck-bit")?;
-                let (b, val) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("--stuck-bit expects B:V, got {v:?}"))?;
-                let bit = parse_num(b)?;
-                if bit >= 64 {
-                    return Err(format!("--stuck-bit bit {bit} outside 0..64"));
-                }
-                let stuck = match val {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("--stuck-bit value must be 0|1, got {other:?}")),
-                };
-                faults.stuck_bit = Some((bit as u8, stuck));
-            }
-            "--drop-prob" => faults.drop_probability = parse_prob(&value("--drop-prob")?)?,
-            "--dup-prob" => faults.duplicate_probability = parse_prob(&value("--dup-prob")?)?,
-            "--timeout-prob" => faults.timeout_probability = parse_prob(&value("--timeout-prob")?)?,
-            "--help" | "-h" => {
-                print!("{CHIP_USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option {other:?} (try chip-diagnose --help)")),
+    if let Some(v) = take(&mut spec, "stuck-bit") {
+        let (bit, value) = v
+            .split_once(':')
+            .ok_or_else(|| format!("--stuck-bit expects B:V, got {v:?}"))?;
+        let bit: u8 = parse_int("stuck-bit", bit)?;
+        if bit >= 64 {
+            return Err(format!("--stuck-bit bit {bit} outside 0..64").into());
         }
+        let stuck = match value {
+            "0" => false,
+            "1" => true,
+            other => return Err(format!("--stuck-bit value must be 0|1, got {other:?}").into()),
+        };
+        faults.stuck_bit = Some((bit, stuck));
     }
+    faults.drop_probability =
+        take_as(&mut spec, "drop-prob", parse_probability)?.unwrap_or(faults.drop_probability);
+    faults.duplicate_probability =
+        take_as(&mut spec, "dup-prob", parse_probability)?.unwrap_or(faults.duplicate_probability);
+    faults.timeout_probability = take_as(&mut spec, "timeout-prob", parse_probability)?
+        .unwrap_or(faults.timeout_probability);
 
-    let process = Process::by_name(&process_name).ok_or_else(|| {
-        format!("unknown process {process_name:?}; built-ins: CDA.5u3m1p, mos.6u3m1pHP, CDA.7u3m1p")
-    })?;
+    let process = process_by_name(&process_name)?;
     let mut config = ChipConfig::new(heterogeneous_chip(macros, seed), budget, seed);
     config.transport = Transport::with_faults(faults);
     config.jobs = jobs;
@@ -480,258 +547,59 @@ fn chip_diagnose(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn fleet(args: Vec<String>) -> Result<(), String> {
-    let mut lifetimes = 10_000usize;
-    let mut seed = 1u64;
-    let mut jobs: Option<usize> = None;
-    let mut lanes = true;
-    let mut words = 1024usize;
-    let mut bpw = 32usize;
-    let mut bpc = 4usize;
-    let mut spares = 4usize;
-    let mut lambda = 1.0e-7f64;
-    let mut period = 10_000.0f64;
-    let mut horizon = 120_000.0f64;
-    let mut retries = 2u32;
-    let mut upset_prob = 0.0f64;
-    let mut policy = SparePolicy::Pessimistic;
+fn fleet(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
+    let jobs = resolve_jobs(take_as(&mut spec, "jobs", parse_usize)?);
+    let engine_name = take(&mut spec, "engine").unwrap_or_else(|| "lanes".to_owned());
+    let engine: run::FleetEngine = match engine_name.as_str() {
+        "lanes" => simulate_fleet_jobs,
+        "golden" => simulate_fleet_golden_jobs,
+        other => return Err(format!("--engine expects lanes|golden, got {other:?}").into()),
+    };
+    let job = FleetJob::from_spec(&with_defaults(spec, FleetJob::CLI_DEFAULTS))?;
 
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parse_hours = |name: &str, v: &str| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|h| h.is_finite() && *h > 0.0)
-                .ok_or_else(|| format!("{name} expects positive hours, got {v:?}"))
-        };
-        match flag.as_str() {
-            "--lifetimes" => lifetimes = parse_num(&value("--lifetimes")?)?,
-            "--seed" => {
-                let v = value("--seed")?;
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("expected a seed, got {v:?}"))?;
-            }
-            "--jobs" => jobs = Some(parse_num(&value("--jobs")?)?),
-            "--engine" => {
-                let v = value("--engine")?;
-                lanes = match v.as_str() {
-                    "lanes" => true,
-                    "golden" => false,
-                    other => {
-                        return Err(format!("--engine expects lanes|golden, got {other:?}"))
-                    }
-                };
-            }
-            "--words" => words = parse_num(&value("--words")?)?,
-            "--bpw" => bpw = parse_num(&value("--bpw")?)?,
-            "--bpc" => bpc = parse_num(&value("--bpc")?)?,
-            "--spares" => spares = parse_num(&value("--spares")?)?,
-            "--lambda" => {
-                let v = value("--lambda")?;
-                lambda = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|l| l.is_finite() && *l >= 0.0)
-                    .ok_or_else(|| format!("--lambda expects a rate >= 0, got {v:?}"))?;
-            }
-            "--period" => period = parse_hours("--period", &value("--period")?)?,
-            "--horizon" => horizon = parse_hours("--horizon", &value("--horizon")?)?,
-            "--retries" => retries = parse_num(&value("--retries")?)? as u32,
-            "--upset-prob" => upset_prob = parse_prob(&value("--upset-prob")?)?,
-            "--policy" => {
-                let v = value("--policy")?;
-                policy = match v.as_str() {
-                    "pessimistic" => SparePolicy::Pessimistic,
-                    "opportunistic" => SparePolicy::Opportunistic,
-                    other => {
-                        return Err(format!(
-                            "--policy expects pessimistic|opportunistic, got {other:?}"
-                        ))
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                print!("{FLEET_USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option {other:?} (try fleet --help)")),
-        }
-    }
-    if lifetimes == 0 {
-        return Err("--lifetimes must be at least 1".to_owned());
-    }
-
-    let org = ArrayOrg::new(words, bpw, bpc, spares).map_err(|e| e.to_string())?;
-    let mut config = FieldConfig::new(org, lambda, period, horizon);
-    config.max_retries = retries;
-    config.transient_upset_probability = upset_prob;
-    config.spare_policy = policy;
-
-    let jobs = resolve_jobs(jobs);
-    let engine = if lanes { "lanes" } else { "golden" };
     eprintln!(
-        "simulating {lifetimes} lifetimes ({engine} engine, {jobs} workers, seed {seed:#x}, \
-         λ={lambda:e}/h, {} sessions over {horizon} h) ...",
-        (horizon / period).floor() as u64
+        "simulating {} lifetimes ({engine_name} engine, {jobs} workers, seed {:#x}, \
+         λ={:e}/h, {} sessions over {} h) ...",
+        job.lifetimes,
+        job.seed,
+        job.lambda,
+        (job.horizon / job.period).floor() as u64,
+        job.horizon
     );
     let start = Instant::now();
-    let result = if lanes {
-        simulate_fleet_jobs(&config, lifetimes, seed, jobs)
-    } else {
-        simulate_fleet_golden_jobs(&config, lifetimes, seed, jobs)
-    };
+    let text = run::fleet(&job, jobs, engine)?;
     let elapsed = start.elapsed().as_secs_f64();
-
-    println!("fleet engine: {engine}");
-    println!("fleet lifetimes: {}", result.lifetimes);
-    println!("fleet deaths: {}", result.deaths);
-    println!("fleet deaths_spare_fault: {}", result.deaths_spare_fault);
-    println!("fleet deaths_exhausted: {}", result.deaths_exhausted);
-    println!("fleet deaths_persist: {}", result.deaths_persist);
-    println!("fleet sessions_run: {}", result.sessions_run);
-    println!("fleet sessions_skipped: {}", result.sessions_skipped);
-    println!("fleet transients_dismissed: {}", result.transients_dismissed);
-    println!("fleet rows_repaired: {}", result.rows_repaired);
-    println!("fleet mttf_hours: {:.3}", result.mttf_hours);
+    println!("fleet engine: {engine_name}");
     println!("fleet wall_seconds: {elapsed:.3}");
     println!(
         "fleet lifetimes_per_second: {:.1}",
-        result.lifetimes as f64 / elapsed.max(f64::MIN_POSITIVE)
+        job.lifetimes as f64 / elapsed.max(f64::MIN_POSITIVE)
     );
-    println!("survival curve (t_hours  R_hat):");
-    for (t, r) in result
-        .curve
-        .times_hours
-        .iter()
-        .zip(result.curve.survival.iter())
-    {
-        println!("  {t:>12.1}  {r:.6}");
-    }
+    print!("{text}");
     Ok(())
 }
 
-fn rare_yield(args: Vec<String>) -> Result<(), CliError> {
-    let mut process_name = "CDA.7u3m1p".to_owned();
-    let mut kernel = TrialKernel::WriteMargin;
-    let mut target_p = 1e-6f64;
-    let mut threshold: Option<f64> = None;
-    let mut trials = 2000usize;
-    let mut mc_trials = 0usize;
-    let mut pilot = 400usize;
-    let mut safety = 3.0f64;
-    let mut seed = 1u64;
-    let mut jobs: Option<usize> = None;
-    let mut words = 4096usize;
-    let mut bpw = 4usize;
-    let mut bpc = 4usize;
-    let mut max_spares = 16usize;
-
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parse_f64 = |name: &str, v: &str| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| format!("{name} expects a finite number, got {v:?}"))
-        };
-        match flag.as_str() {
-            "--process" => process_name = value("--process")?,
-            "--kernel" => {
-                let v = value("--kernel")?;
-                kernel = TrialKernel::by_name(&v).ok_or_else(|| {
-                    format!(
-                        "--kernel expects write-margin|read-snm|hold-snm|read-delay, got {v:?}"
-                    )
-                })?;
-            }
-            "--target-p" => {
-                let p = parse_f64("--target-p", &value("--target-p")?)?;
-                if !(p > 0.0 && p < 1.0) {
-                    return Err(CliError::usage(format!("--target-p {p} outside (0, 1)")));
-                }
-                target_p = p;
-            }
-            "--threshold" => threshold = Some(parse_f64("--threshold", &value("--threshold")?)?),
-            "--trials" => trials = parse_num(&value("--trials")?)?,
-            "--mc-trials" => mc_trials = parse_num(&value("--mc-trials")?)?,
-            "--pilot" => pilot = parse_num(&value("--pilot")?)?,
-            "--safety" => safety = parse_f64("--safety", &value("--safety")?)?,
-            "--seed" => {
-                let v = value("--seed")?;
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("expected a seed, got {v:?}"))?;
-            }
-            "--jobs" => jobs = Some(parse_num(&value("--jobs")?)?),
-            "--words" => words = parse_num(&value("--words")?)?,
-            "--bpw" => bpw = parse_num(&value("--bpw")?)?,
-            "--bpc" => bpc = parse_num(&value("--bpc")?)?,
-            "--max-spares" => max_spares = parse_num(&value("--max-spares")?)?,
-            "--help" | "-h" => {
-                print!("{RARE_USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown option {other:?} (try rare-yield --help)"
-                )))
-            }
-        }
-    }
-    if trials < 2 {
-        return Err(CliError::usage("--trials must be at least 2"));
-    }
-    if pilot < 8 {
-        return Err(CliError::usage("--pilot must be at least 8"));
-    }
-
-    let process = Process::by_name(&process_name).ok_or_else(|| {
-        format!("unknown process {process_name:?}; built-ins: CDA.5u3m1p, mos.6u3m1pHP, CDA.7u3m1p")
-    })?;
-    let jobs = resolve_jobs(jobs);
-
-    let mut engine = RareEngine::for_process(&process, kernel, 0.0);
-    let (pilot_mean, pilot_std) = engine.metric_stats(seed, pilot, jobs);
-    engine.threshold = match threshold {
-        Some(t) => t,
-        None => engine.calibrate_threshold(seed, pilot, target_p, jobs),
-    };
-
-    println!("rare process: {process_name}");
-    println!("rare kernel: {}", kernel.name());
-    println!("rare pilot_trials: {pilot}");
-    println!("rare pilot_mean: {pilot_mean:.6e}");
-    println!("rare pilot_std: {pilot_std:.6e}");
-    println!("rare threshold: {:.6e}", engine.threshold);
-
+fn rare_yield(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
+    let threshold = take_as(&mut spec, "threshold", parse_f64)?;
+    let mc_trials = take_as(&mut spec, "mc-trials", parse_usize)?.unwrap_or(0);
+    let safety = take_as(&mut spec, "safety", parse_f64)?.unwrap_or(3.0);
+    let jobs = resolve_jobs(take_as(&mut spec, "jobs", parse_usize)?);
+    let words = take_as(&mut spec, "words", parse_usize)?.unwrap_or(4096);
+    let bpw = take_as(&mut spec, "bpw", parse_usize)?.unwrap_or(4);
+    let bpc = take_as(&mut spec, "bpc", parse_usize)?.unwrap_or(4);
+    let max_spares = take_as(&mut spec, "max-spares", parse_usize)?.unwrap_or(16);
+    // The spare sweep's array, checked before any sampling runs.
+    let base = ArrayOrg::new(words, bpw, bpc, 0).map_err(|e| e.to_string())?;
+    let job = RareJob::from_spec(&with_defaults(spec, RareJob::CLI_DEFAULTS))?;
+    let seed = job.seed;
     eprintln!(
-        "rare-yield: {} importance-sampling trials on {} ({} workers) ...",
-        trials,
-        kernel.name(),
-        jobs
+        "rare-yield: {} importance-sampling trials on {} ({jobs} workers) ...",
+        job.trials, job.kernel
     );
     let start = Instant::now();
-    let shifts = engine.find_shifts();
-    println!("rare modes: {}", shifts.len());
-    for (i, s) in shifts.iter().enumerate() {
-        let norm: f64 = s.iter().map(|x| x * x).sum::<f64>().sqrt();
-        println!("rare shift{i}_norm: {norm:.4}");
-    }
-    let is = engine.run_is_mixture(seed, trials, jobs, &shifts);
-    println!("rare is_trials: {}", is.trials);
-    println!("rare is_failures: {}", is.failures);
-    println!("rare is_p_fail: {:.6e}", is.p_fail);
-    println!("rare is_std_error: {:.6e}", is.std_error());
-    println!("rare is_rse: {:.4}", is.rse());
-    println!("rare mc_equivalent_trials: {:.3e}", is.mc_equivalent_trials());
-    println!("rare speedup_over_mc: {:.1}", is.speedup_over_mc());
+    let rare = run::rare(&job, threshold, jobs)?;
+    let (engine, is) = (&rare.engine, &rare.is);
+    print!("{}", rare.text(true));
 
     let mut crossval_failed = false;
     if mc_trials > 0 {
@@ -741,14 +609,14 @@ fn rare_yield(args: Vec<String>) -> Result<(), CliError> {
         println!("rare mc_failures: {}", mc.failures);
         println!("rare mc_p_fail: {:.6e}", mc.p_fail);
         println!("rare mc_std_error: {:.6e}", mc.std_error());
-        let sigma = agreement_sigma(&mc, &is);
+        let sigma = agreement_sigma(&mc, is);
         println!("rare crossval_sigma: {sigma:.2}");
         let verdict = if sigma <= 3.0 { "PASS" } else { "FAIL" };
         println!("rare crossval: {verdict}");
         crossval_failed = sigma > 3.0;
     }
 
-    let blockade = engine.run_blockade(seed, pilot, trials, safety, jobs);
+    let blockade = engine.run_blockade(seed, job.pilot, job.trials, safety, jobs);
     println!("rare blockade_simulated: {}", blockade.simulated);
     println!("rare blockade_blocked: {}", blockade.blocked);
     println!("rare blockade_p_fail: {:.6e}", blockade.estimate.p_fail);
@@ -758,12 +626,9 @@ fn rare_yield(args: Vec<String>) -> Result<(), CliError> {
     // cost-per-good-die optimum over spare counts.
     let p_cell = is.p_fail.clamp(0.0, 1.0);
     let sweep = optimize_spares_measured(words, bpw, bpc, p_cell, 0.05, max_spares);
-    let base = ArrayOrg::new(words, bpw, bpc, 0).map_err(|e| e.to_string())?;
+    let defects = p_cell * base.total_cells() as f64;
     println!("rare cell_p_fail: {p_cell:.6e}");
-    println!(
-        "rare expected_defects: {:.4}",
-        p_cell * base.total_cells() as f64
-    );
+    println!("rare expected_defects: {defects:.4}");
     println!("rare optimal_spares: {}", sweep.optimal_spares);
     println!(
         "rare optimal_cost: {:.6}",
@@ -776,7 +641,6 @@ fn rare_yield(args: Vec<String>) -> Result<(), CliError> {
     // analytic sweep is variance-aware rather than eyeballed.
     let spares = sweep.optimal_spares.max(1);
     let org = ArrayOrg::new(words, bpw, bpc, spares).map_err(|e| e.to_string())?;
-    let defects = p_cell * base.total_cells() as f64;
     let mc_yield = simulate_yield_seeded(seed, org, defects, 400, None, jobs);
     let (lo, hi) = mc_yield.usable_wilson_interval(1.96);
     println!("rare usable_fraction: {:.6}", mc_yield.usable_fraction());
@@ -797,55 +661,25 @@ fn rare_yield(args: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-
-/// Parses the shared `--socket PATH | --tcp ADDR` pair. Exactly one
-/// must be given when `required`, at most one otherwise.
-fn parse_listen(
-    socket: Option<String>,
-    tcp: Option<String>,
-    required: bool,
-    help: &str,
-) -> Result<Option<Listen>, CliError> {
-    match (socket, tcp) {
-        (Some(_), Some(_)) => Err(CliError::usage(format!(
-            "--socket and --tcp are mutually exclusive (try {help})"
-        ))),
-        (Some(path), None) => Ok(Some(Listen::Unix(PathBuf::from(path)))),
-        (None, Some(addr)) => Ok(Some(Listen::Tcp(addr))),
-        (None, None) if required => Err(CliError::usage(format!(
-            "need --socket PATH or --tcp ADDR (try {help})"
-        ))),
-        (None, None) => Ok(None),
+/// Takes the shared `--socket PATH | --tcp ADDR` pair: at most one may
+/// be given.
+fn take_listen(spec: &mut Spec) -> Result<Option<Listen>, String> {
+    match (take(spec, "socket"), take(spec, "tcp")) {
+        (Some(_), Some(_)) => Err("--socket and --tcp are mutually exclusive".to_owned()),
+        (socket, tcp) => Ok(socket
+            .map(|p| Listen::Unix(p.into()))
+            .or(tcp.map(Listen::Tcp))),
     }
 }
 
-fn serve(args: Vec<String>) -> Result<(), CliError> {
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut jobs: Option<usize> = None;
+/// [`take_listen`] where one of the pair is required.
+fn need_listen(spec: &mut Spec) -> Result<Listen, String> {
+    take_listen(spec)?.ok_or_else(|| "need --socket PATH or --tcp ADDR".to_owned())
+}
 
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--socket" => socket = Some(value("--socket")?),
-            "--tcp" => tcp = Some(value("--tcp")?),
-            "--jobs" => jobs = Some(parse_num(&value("--jobs")?)?),
-            "--help" | "-h" => {
-                print!("{SERVE_USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown option {other:?} (try serve --help)"
-                )))
-            }
-        }
-    }
-    let listen = parse_listen(socket, tcp, true, "serve --help")?
-        .unwrap_or_else(|| unreachable!("required listen"));
+fn serve(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
+    let listen = need_listen(&mut spec)?;
+    let jobs = take_as(&mut spec, "jobs", parse_usize)?;
 
     let daemon = Daemon::start(&DaemonConfig { listen, jobs })
         .map_err(|e| CliError::failure(format!("binding listener: {e}")))?;
@@ -859,41 +693,12 @@ fn serve(args: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn request(args: Vec<String>) -> Result<(), CliError> {
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut ping = false;
-    let mut status = false;
-    let mut shutdown = false;
-    let mut specs: Vec<PathBuf> = Vec::new();
-
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--socket" => socket = Some(value("--socket")?),
-            "--tcp" => tcp = Some(value("--tcp")?),
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--ping" => ping = true,
-            "--status" => status = true,
-            "--shutdown" => shutdown = true,
-            "--help" | "-h" => {
-                print!("{REQUEST_USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::usage(format!(
-                    "unknown option {other:?} (try request --help)"
-                )))
-            }
-            spec => specs.push(PathBuf::from(spec)),
-        }
-    }
-    let listen = parse_listen(socket, tcp, true, "request --help")?
-        .unwrap_or_else(|| unreachable!("required listen"));
+fn request(mut spec: Spec, specs: Vec<String>) -> Result<(), CliError> {
+    let listen = need_listen(&mut spec)?;
+    let out = take(&mut spec, "out").map(PathBuf::from);
+    let ping = take(&mut spec, "ping").is_some();
+    let status = take(&mut spec, "status").is_some();
+    let shutdown = take(&mut spec, "shutdown").is_some();
     if specs.is_empty() && !ping && !status && !shutdown {
         return Err(CliError::usage(
             "nothing to send: give SPEC files and/or --ping/--status/--shutdown".to_owned(),
@@ -902,21 +707,16 @@ fn request(args: Vec<String>) -> Result<(), CliError> {
 
     // Build the batched request texts: probe first, then the spec
     // files in order, then status/shutdown.
-    let mut texts: Vec<(String, String)> = Vec::new();
-    if ping {
-        texts.push(("--ping".to_owned(), "job = ping\n".to_owned()));
-    }
+    let control =
+        |on: bool, kind: &str| on.then(|| (format!("--{kind}"), format!("job = {kind}\n")));
+    let mut texts: Vec<(String, String)> = control(ping, "ping").into_iter().collect();
     for path in &specs {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::usage(format!("reading {path:?}: {e}")))?;
-        texts.push((path.display().to_string(), text));
+        texts.push((path.clone(), text));
     }
-    if status {
-        texts.push(("--status".to_owned(), "job = status\n".to_owned()));
-    }
-    if shutdown {
-        texts.push(("--shutdown".to_owned(), "job = shutdown\n".to_owned()));
-    }
+    texts.extend(control(status, "status"));
+    texts.extend(control(shutdown, "shutdown"));
 
     if let Some(dir) = &out {
         std::fs::create_dir_all(dir)
@@ -953,38 +753,13 @@ fn request(args: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn sweep(args: Vec<String>) -> Result<(), CliError> {
-    let mut spec_path: Option<PathBuf> = None;
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<PathBuf> = None;
-
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--spec" => spec_path = Some(PathBuf::from(value("--spec")?)),
-            "--socket" => socket = Some(value("--socket")?),
-            "--tcp" => tcp = Some(value("--tcp")?),
-            "--jobs" => jobs = Some(parse_num(&value("--jobs")?)?),
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => {
-                print!("{SWEEP_USAGE}{EXIT_CODES}");
-                std::process::exit(0);
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown option {other:?} (try sweep --help)"
-                )))
-            }
-        }
-    }
-    let spec_path =
-        spec_path.ok_or_else(|| CliError::usage("sweep needs --spec FILE (try sweep --help)"))?;
-    let listen = parse_listen(socket, tcp, false, "sweep --help")?;
+fn sweep(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
+    let spec_path = take(&mut spec, "spec")
+        .map(PathBuf::from)
+        .ok_or_else(|| CliError::usage("sweep needs --spec FILE"))?;
+    let listen = take_listen(&mut spec)?;
+    let jobs = take_as(&mut spec, "jobs", parse_usize)?;
+    let out = take(&mut spec, "out").map(PathBuf::from);
 
     let text = std::fs::read_to_string(&spec_path)
         .map_err(|e| CliError::usage(format!("reading {spec_path:?}: {e}")))?;
@@ -1026,123 +801,45 @@ fn sweep(args: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run() -> Result<(), CliError> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("chip-diagnose") {
-        return chip_diagnose(raw[1..].to_vec()).map_err(CliError::usage);
-    }
-    if raw.first().map(String::as_str) == Some("fleet") {
-        return fleet(raw[1..].to_vec()).map_err(CliError::usage);
-    }
-    if raw.first().map(String::as_str) == Some("rare-yield") {
-        return rare_yield(raw[1..].to_vec());
-    }
-    if raw.first().map(String::as_str) == Some("serve") {
-        return serve(raw[1..].to_vec());
-    }
-    if raw.first().map(String::as_str) == Some("request") {
-        return request(raw[1..].to_vec());
-    }
-    if raw.first().map(String::as_str) == Some("sweep") {
-        return sweep(raw[1..].to_vec());
-    }
-    let args = parse_args()?;
-    let process = Process::by_name(&args.process)
-        .ok_or_else(|| format!("unknown process {:?}; built-ins: CDA.5u3m1p, mos.6u3m1pHP, CDA.7u3m1p", args.process))?;
-    let params = RamParams::builder()
-        .words(args.words)
-        .bits_per_word(args.bpw)
-        .bits_per_column(args.bpc)
-        .spare_rows(args.spares)
-        .gate_size(args.gate_size)
-        .strap(args.strap_every, args.strap_lambda)
-        .process(process)
-        .build()
-        .map_err(|e| e.to_string())?;
-
-    eprintln!("compiling {params} ...");
-    let mut options = CompileOptions::new()
-        .with_verify(args.verify)
-        .with_verify_mode(args.verify_mode);
-    if let Some(jobs) = args.jobs {
-        options = options.with_jobs(jobs);
-    }
-    let ram = compile_with(&params, &options).map_err(|e| CliError::failure(e.to_string()))?;
-    if args.timings {
-        eprintln!("{}", ram.trace());
-    }
-
-    std::fs::create_dir_all(&args.out)
-        .map_err(|e| CliError::failure(format!("creating {:?}: {e}", args.out)))?;
-    let write = |name: &str, contents: &str| -> Result<(), CliError> {
-        let path = args.out.join(name);
-        std::fs::write(&path, contents)
-            .map_err(|e| CliError::failure(format!("writing {path:?}: {e}")))?;
-        eprintln!("  wrote {}", path.display());
-        Ok(())
-    };
-
-    write("datasheet.txt", &ram.datasheet().to_string())?;
-    write(
-        "areas.txt",
-        &format!(
-            "{}\nBIST+BISR overhead: {:.3}% ({:.3}% counting spare rows)\nmodule: {:.4} mm2, utilization {:.1}%\n",
-            ram.areas().report(),
-            ram.areas().overhead_fraction() * 100.0,
-            ram.areas().overhead_fraction_with_spares() * 100.0,
-            ram.area_mm2(),
-            ram.placement().utilization() * 100.0
-        ),
-    )?;
-    write("floorplan.svg", &ram.floorplan_svg())?;
-    let (and_plane, or_plane) = ram.pla_planes();
-    write("trpla_and.plane", &and_plane)?;
-    write("trpla_or.plane", &or_plane)?;
-    write("sense_path.sp", &ram.sense_path_spice())?;
-    let mut verify_dirty = false;
-    if let Some(report) = ram.verify_report() {
-        write("verify.txt", &report.to_string())?;
-        if report.is_clean() {
-            eprintln!(
-                "  verify: clean ({} macrocells, 0 drc violations, 0 lvs mismatches)",
-                report.cells.len()
-            );
-        } else {
-            verify_dirty = true;
-            eprintln!(
-                "  verify: DIRTY ({} drc violations, {} lvs mismatches) — see verify.txt",
-                report.drc_violations(),
-                report.lvs_mismatches()
-            );
-        }
-    }
-    if args.cif {
-        if params.org().cells() > 200_000 {
-            eprintln!("  skipping CIF: module too large for a flattened export");
-        } else {
-            write("layout.cif", &ram.to_cif())?;
-        }
-    }
-
-    eprintln!(
-        "done: {} states / {} FFs, {:.2}% overhead, {:.2} ns access",
-        ram.control_program().state_count(),
-        ram.control_program().flip_flops(),
-        ram.areas().overhead_fraction() * 100.0,
-        ram.datasheet().access_time_s * 1e9
-    );
-    if verify_dirty {
-        return Err(CliError::failure("physical verification found violations"));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let sub = COMMANDS[1..]
+        .iter()
+        .position(|c| args.first().map(String::as_str) == Some(c.0));
+    let (name, usage, operands, body) = COMMANDS[sub.map_or(0, |i| i + 1)];
+    match flag_spec(usage, operands, &args[usize::from(sub.is_some())..])
+        .and_then(|(spec, rest)| body(spec, rest))
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("bisramgen: {}", e.message);
+            // Every usage error points at its subcommand's help text.
+            let help = format!("{name} --help");
+            let hint = (e.code == 2).then(|| format!(" (try {})", help.trim_start()));
+            eprintln!("bisramgen: {}{}", e.message, hint.unwrap_or_default());
             ExitCode::from(e.code)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_usage_text_is_the_option_table() {
+        assert_eq!(documented_options(USAGE).count(), 14);
+        // Every documented option takes a value except these switches.
+        for (name, usage, ..) in COMMANDS {
+            let switches: Vec<&str> = documented_options(usage)
+                .filter(|&(_, takes_value)| !takes_value)
+                .map(|(option, _)| option)
+                .collect();
+            let expected = match name {
+                "" => &["cif", "timings", "verify", "help"][..],
+                "request" => &["ping", "status", "shutdown", "help"],
+                _ => &["help"],
+            };
+            assert_eq!(switches, expected, "{name:?}");
         }
     }
 }

@@ -1,20 +1,30 @@
 //! Typed job requests and their canonical text form.
 //!
-//! A request arrives as a [`Spec`](crate::Spec) text whose `job` key
-//! selects the kind; the remaining keys are typed parameters with the
-//! same defaults as the one-shot CLI. Parsing is strict — an unknown
-//! key is an error, not a silent ignore — and every parsed job
-//! re-encodes to a [`canonical`](JobSpec::canonical) text with all
-//! fields spelled out in a fixed order. Two requests that differ only
-//! in spelling (key order, omitted defaults, quoting) canonicalize to
-//! the same string, which is exactly the property the single-flight
-//! dedup map keys on.
+//! A request arrives as a [`Spec`] text whose `job` key selects the
+//! kind; the remaining keys are typed parameters. The one-shot
+//! `bisramgen` CLI maps its flags onto the same keys and parses them
+//! here too, so the two share every default except the few a one-shot
+//! run deepens, listed in [`FleetJob::CLI_DEFAULTS`] and
+//! [`RareJob::CLI_DEFAULTS`]: a `fleet` request simulates 1000
+//! lifetimes where `bisramgen fleet` simulates 10000, and a `rare-yield`
+//! request calibrates at `target-p = 1e-4` with 400 trials and a
+//! 64-trial pilot where `bisramgen rare-yield` uses 1e-6, 2000 and 400.
+//!
+//! Parsing is strict — an unknown key is an error, not a silent
+//! ignore — and every parsed job re-encodes to a
+//! [`canonical`](JobSpec::canonical) text with all fields spelled out in
+//! a fixed order. Two requests that differ only in spelling (key order,
+//! omitted defaults, quoting) canonicalize to the same string, which is
+//! exactly the property the single-flight dedup map keys on.
 
-use crate::spec::{parse_bool, parse_f64, parse_u64, parse_usize, Spec};
+use crate::spec::{
+    parse_bool, parse_f64, parse_int, parse_probability, parse_u64, parse_usize, Spec,
+};
+use bisram_mem::ArrayOrg;
 use bisram_tech::Process;
 use bisram_yield::rare::TrialKernel;
-use bisramgen::field::SparePolicy;
-use bisramgen::VerifyMode;
+use bisramgen::field::{FieldConfig, SparePolicy};
+use bisramgen::{RamParams, VerifyMode};
 
 /// Physical-verification choice for a compile-family job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,6 +256,29 @@ const FLEET_KEYS: &[&str] = &[
     "policy",
 ];
 
+/// Resolves a built-in process by name.
+///
+/// # Errors
+///
+/// A message listing the built-ins.
+pub fn process_by_name(name: &str) -> Result<Process, String> {
+    Process::by_name(name).ok_or_else(|| {
+        format!("unknown process {name:?}; built-ins: CDA.5u3m1p, mos.6u3m1pHP, CDA.7u3m1p")
+    })
+}
+
+/// Rejects the first key outside `allowed`, naming it and the job kind
+/// (the spec's own `job` key, else `kind`).
+fn reject_unknown(spec: &Spec, allowed: &[&str], kind: &str) -> Result<(), String> {
+    match spec.unknown_key(allowed) {
+        Some(key) => Err(format!(
+            "unknown key {key:?} for job {:?}",
+            spec.scalar_opt("job")?.unwrap_or(kind)
+        )),
+        None => Ok(()),
+    }
+}
+
 fn set_usize(spec: &Spec, key: &str, slot: &mut usize) -> Result<(), String> {
     if let Some(v) = spec.scalar_opt(key)? {
         *slot = parse_usize(key, v)?;
@@ -260,133 +293,189 @@ fn set_f64(spec: &Spec, key: &str, slot: &mut f64) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_compile(spec: &Spec) -> Result<CompileJob, String> {
-    let mut job = CompileJob::default();
-    set_usize(spec, "words", &mut job.words)?;
-    set_usize(spec, "bpw", &mut job.bpw)?;
-    set_usize(spec, "bpc", &mut job.bpc)?;
-    set_usize(spec, "spares", &mut job.spares)?;
-    if let Some(v) = spec.scalar_opt("process")? {
-        job.process = v.to_owned();
+impl CompileJob {
+    /// The compiler parameters these keys describe.
+    ///
+    /// # Errors
+    ///
+    /// An unknown process or an organization the compiler rejects.
+    pub fn params(&self) -> Result<RamParams, String> {
+        let process = process_by_name(&self.process)?;
+        RamParams::builder()
+            .words(self.words)
+            .bits_per_word(self.bpw)
+            .bits_per_column(self.bpc)
+            .spare_rows(self.spares)
+            .gate_size(self.gate_size)
+            .strap(self.strap_every, self.strap_lambda)
+            .process(process)
+            .build()
+            .map_err(|e| e.to_string())
     }
-    if let Some(v) = spec.scalar_opt("gate-size")? {
-        job.gate_size = parse_usize("gate-size", v)? as i64;
+
+    /// Parses the compile-family keys of `spec` — a request, or the CLI's
+    /// flags mapped onto keys — filling omitted keys with the defaults.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown key or invalid value, named.
+    pub fn from_spec(spec: &Spec) -> Result<CompileJob, String> {
+        reject_unknown(spec, COMPILE_KEYS, "compile")?;
+        let mut job = CompileJob::default();
+        set_usize(spec, "words", &mut job.words)?;
+        set_usize(spec, "bpw", &mut job.bpw)?;
+        set_usize(spec, "bpc", &mut job.bpc)?;
+        set_usize(spec, "spares", &mut job.spares)?;
+        if let Some(v) = spec.scalar_opt("process")? {
+            job.process = v.to_owned();
+        }
+        if let Some(v) = spec.scalar_opt("gate-size")? {
+            job.gate_size = parse_int("gate-size", v)?;
+        }
+        set_usize(spec, "strap-every", &mut job.strap_every)?;
+        if let Some(v) = spec.scalar_opt("strap-lambda")? {
+            job.strap_lambda = parse_int("strap-lambda", v)?;
+        }
+        if let Some(v) = spec.scalar_opt("verify")? {
+            job.verify = VerifyChoice::by_name(v)
+                .ok_or_else(|| format!("key \"verify\": expected none|flat|hier, got {v:?}"))?;
+        }
+        if let Some(v) = spec.scalar_opt("cif")? {
+            job.cif = parse_bool("cif", v)?;
+        }
+        set_f64(spec, "defects", &mut job.defects)?;
+        set_f64(spec, "lambda", &mut job.lambda)?;
+        if job.defects < 0.0 {
+            return Err(format!(
+                "key \"defects\": must be >= 0, got {}",
+                job.defects
+            ));
+        }
+        if job.lambda < 0.0 {
+            return Err(format!("key \"lambda\": must be >= 0, got {}", job.lambda));
+        }
+        // Validate the process name at parse time so the error reaches the
+        // client as a request error, not a mid-stream job failure.
+        process_by_name(&job.process)?;
+        Ok(job)
     }
-    set_usize(spec, "strap-every", &mut job.strap_every)?;
-    if let Some(v) = spec.scalar_opt("strap-lambda")? {
-        job.strap_lambda = parse_usize("strap-lambda", v)? as i64;
-    }
-    if let Some(v) = spec.scalar_opt("verify")? {
-        job.verify = VerifyChoice::by_name(v)
-            .ok_or_else(|| format!("key \"verify\": expected none|flat|hier, got {v:?}"))?;
-    }
-    if let Some(v) = spec.scalar_opt("cif")? {
-        job.cif = parse_bool("cif", v)?;
-    }
-    set_f64(spec, "defects", &mut job.defects)?;
-    set_f64(spec, "lambda", &mut job.lambda)?;
-    if job.defects < 0.0 {
-        return Err(format!("key \"defects\": must be >= 0, got {}", job.defects));
-    }
-    if job.lambda < 0.0 {
-        return Err(format!("key \"lambda\": must be >= 0, got {}", job.lambda));
-    }
-    // Validate the process name at parse time so the error reaches the
-    // client as a request error, not a mid-stream job failure.
-    if Process::by_name(&job.process).is_none() {
-        return Err(format!(
-            "unknown process {:?}; built-ins: CDA.5u3m1p, mos.6u3m1pHP, CDA.7u3m1p",
-            job.process
-        ));
-    }
-    Ok(job)
 }
 
-fn parse_rare(spec: &Spec) -> Result<RareJob, String> {
-    let mut job = RareJob::default();
-    if let Some(v) = spec.scalar_opt("process")? {
-        job.process = v.to_owned();
+impl RareJob {
+    /// The keys whose `bisramgen rare-yield` default differs from
+    /// [`RareJob::default`]: a one-shot run resolves a deeper tail.
+    pub const CLI_DEFAULTS: &'static [(&'static str, &'static str)] =
+        &[("target-p", "1e-6"), ("trials", "2000"), ("pilot", "400")];
+
+    /// Parses the `rare-yield` keys of `spec` — a request, or the CLI's
+    /// flags mapped onto keys — filling omitted keys with the defaults.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown key or invalid value, named.
+    pub fn from_spec(spec: &Spec) -> Result<RareJob, String> {
+        reject_unknown(spec, RARE_KEYS, "rare-yield")?;
+        let mut job = RareJob::default();
+        if let Some(v) = spec.scalar_opt("process")? {
+            job.process = v.to_owned();
+        }
+        if let Some(v) = spec.scalar_opt("kernel")? {
+            job.kernel = v.to_owned();
+        }
+        set_f64(spec, "target-p", &mut job.target_p)?;
+        set_usize(spec, "trials", &mut job.trials)?;
+        set_usize(spec, "pilot", &mut job.pilot)?;
+        if let Some(v) = spec.scalar_opt("seed")? {
+            job.seed = parse_u64("seed", v)?;
+        }
+        process_by_name(&job.process)?;
+        if TrialKernel::by_name(&job.kernel).is_none() {
+            return Err(format!(
+                "key \"kernel\": expected write-margin|read-snm|hold-snm|read-delay, got {:?}",
+                job.kernel
+            ));
+        }
+        if !(job.target_p > 0.0 && job.target_p < 1.0) {
+            return Err(format!("key \"target-p\": {} outside (0, 1)", job.target_p));
+        }
+        if job.trials < 2 {
+            return Err("key \"trials\": must be at least 2".to_owned());
+        }
+        if job.pilot < 8 {
+            return Err("key \"pilot\": must be at least 8".to_owned());
+        }
+        Ok(job)
     }
-    if let Some(v) = spec.scalar_opt("kernel")? {
-        job.kernel = v.to_owned();
-    }
-    set_f64(spec, "target-p", &mut job.target_p)?;
-    set_usize(spec, "trials", &mut job.trials)?;
-    set_usize(spec, "pilot", &mut job.pilot)?;
-    if let Some(v) = spec.scalar_opt("seed")? {
-        job.seed = parse_u64("seed", v)?;
-    }
-    if Process::by_name(&job.process).is_none() {
-        return Err(format!(
-            "unknown process {:?}; built-ins: CDA.5u3m1p, mos.6u3m1pHP, CDA.7u3m1p",
-            job.process
-        ));
-    }
-    if TrialKernel::by_name(&job.kernel).is_none() {
-        return Err(format!(
-            "key \"kernel\": expected write-margin|read-snm|hold-snm|read-delay, got {:?}",
-            job.kernel
-        ));
-    }
-    if !(job.target_p > 0.0 && job.target_p < 1.0) {
-        return Err(format!(
-            "key \"target-p\": {} outside (0, 1)",
-            job.target_p
-        ));
-    }
-    if job.trials < 2 {
-        return Err("key \"trials\": must be at least 2".to_owned());
-    }
-    if job.pilot < 8 {
-        return Err("key \"pilot\": must be at least 8".to_owned());
-    }
-    Ok(job)
 }
 
-fn parse_fleet(spec: &Spec) -> Result<FleetJob, String> {
-    let mut job = FleetJob::default();
-    set_usize(spec, "words", &mut job.words)?;
-    set_usize(spec, "bpw", &mut job.bpw)?;
-    set_usize(spec, "bpc", &mut job.bpc)?;
-    set_usize(spec, "spares", &mut job.spares)?;
-    set_usize(spec, "lifetimes", &mut job.lifetimes)?;
-    if let Some(v) = spec.scalar_opt("seed")? {
-        job.seed = parse_u64("seed", v)?;
+impl FleetJob {
+    /// The keys whose `bisramgen fleet` default differs from
+    /// [`FleetJob::default`]: a one-shot run simulates a larger fleet.
+    pub const CLI_DEFAULTS: &'static [(&'static str, &'static str)] = &[("lifetimes", "10000")];
+
+    /// The field-simulation configuration these keys describe.
+    ///
+    /// # Errors
+    ///
+    /// An organization the memory model rejects.
+    pub fn config(&self) -> Result<FieldConfig, String> {
+        let org = ArrayOrg::new(self.words, self.bpw, self.bpc, self.spares)
+            .map_err(|e| e.to_string())?;
+        let mut config = FieldConfig::new(org, self.lambda, self.period, self.horizon);
+        config.max_retries = self.retries;
+        config.transient_upset_probability = self.upset_prob;
+        config.spare_policy = self.policy;
+        Ok(config)
     }
-    set_f64(spec, "lambda", &mut job.lambda)?;
-    set_f64(spec, "period", &mut job.period)?;
-    set_f64(spec, "horizon", &mut job.horizon)?;
-    if let Some(v) = spec.scalar_opt("retries")? {
-        job.retries = parse_usize("retries", v)? as u32;
+
+    /// Parses the `fleet` keys of `spec` — a request, or the CLI's
+    /// flags mapped onto keys — filling omitted keys with the defaults.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown key or invalid value, named.
+    pub fn from_spec(spec: &Spec) -> Result<FleetJob, String> {
+        reject_unknown(spec, FLEET_KEYS, "fleet")?;
+        let mut job = FleetJob::default();
+        set_usize(spec, "words", &mut job.words)?;
+        set_usize(spec, "bpw", &mut job.bpw)?;
+        set_usize(spec, "bpc", &mut job.bpc)?;
+        set_usize(spec, "spares", &mut job.spares)?;
+        set_usize(spec, "lifetimes", &mut job.lifetimes)?;
+        if let Some(v) = spec.scalar_opt("seed")? {
+            job.seed = parse_u64("seed", v)?;
+        }
+        set_f64(spec, "lambda", &mut job.lambda)?;
+        set_f64(spec, "period", &mut job.period)?;
+        set_f64(spec, "horizon", &mut job.horizon)?;
+        if let Some(v) = spec.scalar_opt("retries")? {
+            job.retries = parse_int("retries", v)?;
+        }
+        if let Some(v) = spec.scalar_opt("upset-prob")? {
+            job.upset_prob = parse_probability("upset-prob", v)?;
+        }
+        if let Some(v) = spec.scalar_opt("policy")? {
+            job.policy = match v {
+                "pessimistic" => SparePolicy::Pessimistic,
+                "opportunistic" => SparePolicy::Opportunistic,
+                other => {
+                    return Err(format!(
+                        "key \"policy\": expected pessimistic|opportunistic, got {other:?}"
+                    ))
+                }
+            };
+        }
+        if job.lifetimes == 0 {
+            return Err("key \"lifetimes\": must be at least 1".to_owned());
+        }
+        if job.lambda < 0.0 {
+            return Err(format!("key \"lambda\": must be >= 0, got {}", job.lambda));
+        }
+        if job.period <= 0.0 || job.horizon <= 0.0 {
+            return Err("keys \"period\"/\"horizon\": must be positive hours".to_owned());
+        }
+        Ok(job)
     }
-    set_f64(spec, "upset-prob", &mut job.upset_prob)?;
-    if let Some(v) = spec.scalar_opt("policy")? {
-        job.policy = match v {
-            "pessimistic" => SparePolicy::Pessimistic,
-            "opportunistic" => SparePolicy::Opportunistic,
-            other => {
-                return Err(format!(
-                    "key \"policy\": expected pessimistic|opportunistic, got {other:?}"
-                ))
-            }
-        };
-    }
-    if job.lifetimes == 0 {
-        return Err("key \"lifetimes\": must be at least 1".to_owned());
-    }
-    if job.lambda < 0.0 {
-        return Err(format!("key \"lambda\": must be >= 0, got {}", job.lambda));
-    }
-    if job.period <= 0.0 || job.horizon <= 0.0 {
-        return Err("keys \"period\"/\"horizon\": must be positive hours".to_owned());
-    }
-    if !(0.0..=1.0).contains(&job.upset_prob) {
-        return Err(format!(
-            "key \"upset-prob\": probability {} outside [0, 1]",
-            job.upset_prob
-        ));
-    }
-    Ok(job)
 }
 
 impl JobSpec {
@@ -397,25 +486,26 @@ impl JobSpec {
     /// A human-readable message for syntax errors, unknown keys,
     /// unknown job kinds and out-of-range values.
     pub fn parse(text: &str) -> Result<JobSpec, String> {
-        let spec = Spec::parse(text).map_err(|e| e.to_string())?;
+        let spec = &Spec::parse(text).map_err(|e| e.to_string())?;
         let kind = spec.scalar("job")?;
-        let (job, allowed): (JobSpec, &[&str]) = match kind {
-            "compile" => (JobSpec::Compile(parse_compile(&spec)?), COMPILE_KEYS),
-            "characterize" => (JobSpec::Characterize(parse_compile(&spec)?), COMPILE_KEYS),
+        let job = match kind {
+            "compile" => JobSpec::Compile(CompileJob::from_spec(spec)?),
+            "characterize" => JobSpec::Characterize(CompileJob::from_spec(spec)?),
             "verify" => {
-                let mut c = parse_compile(&spec)?;
-                // A verify job that doesn't say which mode defaults to
-                // flat; `verify = none` makes no sense here.
+                let mut c = CompileJob::from_spec(spec)?;
+                // A verify job that doesn't say which mode runs the
+                // hierarchical engine (flat stays reachable as its
+                // oracle); `verify = none` makes no sense here.
                 if c.verify == VerifyChoice::None {
-                    c.verify = VerifyChoice::Flat;
+                    c.verify = VerifyChoice::Hier;
                 }
-                (JobSpec::Verify(c), COMPILE_KEYS)
+                JobSpec::Verify(c)
             }
-            "rare-yield" => (JobSpec::RareYield(parse_rare(&spec)?), RARE_KEYS),
-            "fleet" => (JobSpec::Fleet(parse_fleet(&spec)?), FLEET_KEYS),
-            "status" => (JobSpec::Status, &["job"]),
-            "ping" => (JobSpec::Ping, &["job"]),
-            "shutdown" => (JobSpec::Shutdown, &["job"]),
+            "rare-yield" => JobSpec::RareYield(RareJob::from_spec(spec)?),
+            "fleet" => JobSpec::Fleet(FleetJob::from_spec(spec)?),
+            "status" => JobSpec::Status,
+            "ping" => JobSpec::Ping,
+            "shutdown" => JobSpec::Shutdown,
             other => {
                 return Err(format!(
                     "unknown job {other:?}; expected compile|characterize|verify|\
@@ -423,8 +513,8 @@ impl JobSpec {
                 ))
             }
         };
-        if let Some(key) = spec.unknown_key(allowed) {
-            return Err(format!("unknown key {key:?} for job {kind:?}"));
+        if matches!(job, JobSpec::Status | JobSpec::Ping | JobSpec::Shutdown) {
+            reject_unknown(spec, &["job"], kind)?;
         }
         Ok(job)
     }
@@ -543,11 +633,15 @@ mod tests {
     }
 
     #[test]
-    fn verify_job_defaults_to_flat_mode() {
+    fn verify_job_defaults_to_hier_mode() {
         let JobSpec::Verify(c) = JobSpec::parse("job = verify\n").unwrap() else {
             panic!("kind")
         };
-        assert_eq!(c.verify, VerifyChoice::Flat);
+        assert_eq!(c.verify, VerifyChoice::Hier);
+        let JobSpec::Verify(c) = JobSpec::parse("job = verify\nverify = flat\n").unwrap() else {
+            panic!("kind")
+        };
+        assert_eq!(c.verify, VerifyChoice::Flat, "flat stays reachable as the oracle");
     }
 
     #[test]
@@ -564,5 +658,14 @@ mod tests {
         assert!(bad_policy.contains("policy"), "{bad_policy}");
         let axis = JobSpec::parse("job = compile\nwords = 1, 2\n").unwrap_err();
         assert!(axis.contains("one value"), "{axis}");
+        // Values that overflow their field are rejected, never wrapped.
+        for (text, key) in [
+            ("job = fleet\nretries = 4294967298\n", "\"retries\""),
+            ("job = compile\ngate-size = 9223372036854775808\n", "\"gate-size\""),
+            ("job = compile\nstrap-lambda = 18446744073709551615\n", "\"strap-lambda\""),
+        ] {
+            let wrapped = JobSpec::parse(text).unwrap_err();
+            assert!(wrapped.contains(key) && wrapped.contains("out of range"), "{wrapped}");
+        }
     }
 }

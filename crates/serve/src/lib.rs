@@ -18,7 +18,9 @@
 //!   artifact sections back one frame at a time. Malformed, corrupted
 //!   or oversized frames produce typed error responses with
 //!   retry-classified status codes — never a panic, never a crashed
-//!   daemon.
+//!   daemon. The per-kind executors ([`run`]) are shared with the
+//!   one-shot CLI, so a job and the equivalent `bisramgen` invocation
+//!   compute and render the same bytes.
 //! * **Sweep orchestrator** ([`spec`], [`sweep`]): a declarative
 //!   plain-text spec describes axes over `RamParams` fields ×
 //!   processes × spare counts × verify modes; the orchestrator expands
@@ -35,13 +37,14 @@ pub mod client;
 pub mod daemon;
 pub mod job;
 pub mod proto;
+pub mod run;
 pub mod service;
 pub mod spec;
 pub mod sweep;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, Listen};
-pub use job::{CompileJob, FleetJob, JobSpec, RareJob, VerifyChoice};
+pub use job::{process_by_name, CompileJob, FleetJob, JobSpec, RareJob, VerifyChoice};
 pub use proto::RespFrame;
 pub use service::{JobFailure, JobOutcome, JobResult, Section, Service};
 pub use spec::{Spec, SpecError};

@@ -4,7 +4,9 @@
 //! [`Service`] is the daemon's engine and equally usable in-process —
 //! the sweep orchestrator calls [`Service::submit`] directly when no
 //! daemon is running, so both paths execute *exactly* the same code and
-//! produce byte-identical sections.
+//! produce byte-identical sections. The work itself is done by the
+//! per-kind executors in [`crate::run`], which the one-shot CLI
+//! calls too.
 //!
 //! Three properties matter here:
 //!
@@ -20,7 +22,9 @@
 //!   slot and share its `Arc`'d outcome. The [`Service::counters`]
 //!   triple (requests, executed, dedup hits) makes the collapse
 //!   observable and testable; memo hits count as dedup hits, since
-//!   both mean "reused another submission's execution".
+//!   both mean "reused another submission's execution". A panic in the
+//!   execution is contained to the job: leader and followers all get a
+//!   non-memoized `500`, and the flight is cleared.
 //! * **Determinism.** Section bytes never contain wall-clock time,
 //!   worker counts or anything else host-dependent; a given job spec
 //!   produces the same section bytes on every run at any parallelism.
@@ -28,16 +32,13 @@
 //!   and is the deliberate exception — it is diagnostic, not part of
 //!   any reduction.)
 
-use crate::job::{CompileJob, FleetJob, JobSpec, RareJob};
+use crate::job::{CompileJob, JobSpec};
+use crate::run;
 use bisram_exec::resolve_jobs;
-use bisram_mem::ArrayOrg;
-use bisram_tech::Process;
-use bisram_yield::rare::{RareEngine, TrialKernel};
-use bisram_yield::reliability::ReliabilityModel;
-use bisram_yield::repairability::YieldModel;
-use bisramgen::field::{simulate_fleet_jobs, FieldConfig};
-use bisramgen::{compile_with, CellCache, CompileOptions, RamParams};
+use bisramgen::field::simulate_fleet_jobs;
+use bisramgen::{CellCache, CompileOptions};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -51,7 +52,7 @@ pub struct Section {
 }
 
 impl Section {
-    fn new(name: &str, content: impl Into<String>) -> Section {
+    pub(crate) fn new(name: &str, content: impl Into<String>) -> Section {
         Section {
             name: name.to_owned(),
             content: content.into(),
@@ -108,6 +109,16 @@ impl JobFailure {
         }
     }
 
+    /// The job panicked (`500`, not retryable). Never memoized, so an
+    /// identical later request executes afresh.
+    pub fn panicked(message: impl Into<String>) -> JobFailure {
+        JobFailure {
+            code: 500,
+            retryable: false,
+            message: message.into(),
+        }
+    }
+
     /// The server is draining for shutdown (`503`, retryable against a
     /// restarted server).
     pub fn draining() -> JobFailure {
@@ -144,6 +155,47 @@ impl Slot {
     }
 }
 
+/// The single-flight leader's duty, discharged on drop: park the outcome
+/// in the slot, wake the followers, memoize a success and clear the
+/// in-flight entry. Dropping it without an outcome — the leader
+/// unwound — parks a `500` instead, so no follower or later identical
+/// request waits on a slot nobody will fill.
+struct Flight<'a> {
+    service: &'a Service,
+    key: &'a str,
+    slot: &'a Slot,
+    outcome: Option<Arc<JobOutcome>>,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        let outcome = self
+            .outcome
+            .take()
+            .unwrap_or_else(|| Arc::new(Err(JobFailure::panicked("job execution unwound"))));
+        *self.slot.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&outcome));
+        self.slot.ready.notify_all();
+        // Memoize before dropping the in-flight entry so no window
+        // exists where a fresh submission finds the key in neither
+        // tier and re-executes.
+        self.service.memo_put(self.key, &outcome);
+        self.service
+            .in_flight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(self.key);
+    }
+}
+
+/// The text of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Ceiling on memoized outcomes. Full artifact sets can run to
 /// megabytes (CIF layouts), so a long-lived daemon must not hoard them
 /// without bound; FIFO eviction keeps the policy deterministic.
@@ -167,6 +219,9 @@ pub struct Service {
     executed: AtomicU64,
     dedup_hits: AtomicU64,
     draining: AtomicBool,
+    /// Test-only fault injection: runs at the start of every execution.
+    #[cfg(test)]
+    before_execute: Mutex<Option<fn(&Service)>>,
 }
 
 impl Default for Service {
@@ -202,6 +257,8 @@ impl Service {
             executed: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             draining: AtomicBool::new(false),
+            #[cfg(test)]
+            before_execute: Mutex::new(None),
         }
     }
 
@@ -229,26 +286,11 @@ impl Service {
         self.requests.fetch_add(1, Ordering::Relaxed);
         // Control-plane jobs answer immediately, bypassing dedup: they
         // are cheap, and status/ping must work on a draining server.
-        match job {
-            JobSpec::Ping => {
-                return (
-                    Arc::new(Ok(JobResult {
-                        sections: vec![Section::new("pong.txt", "pong\n")],
-                    })),
-                    false,
-                )
-            }
-            JobSpec::Status => return (Arc::new(Ok(self.status_result())), false),
-            JobSpec::Shutdown => {
+        if matches!(job, JobSpec::Ping | JobSpec::Status | JobSpec::Shutdown) {
+            if matches!(job, JobSpec::Shutdown) {
                 self.draining.store(true, Ordering::SeqCst);
-                return (
-                    Arc::new(Ok(JobResult {
-                        sections: vec![Section::new("shutdown.txt", "draining\n")],
-                    })),
-                    false,
-                );
             }
-            _ => {}
+            return (Arc::new(self.execute(job)), false);
         }
         if self.draining() {
             return (Arc::new(Err(JobFailure::draining())), false);
@@ -276,20 +318,24 @@ impl Service {
 
         if leader {
             self.executed.fetch_add(1, Ordering::Relaxed);
-            let outcome = Arc::new(self.execute(job));
-            {
-                let mut result = slot.result.lock().unwrap_or_else(|e| e.into_inner());
-                *result = Some(Arc::clone(&outcome));
-            }
-            slot.ready.notify_all();
-            // Memoize before dropping the in-flight entry so no window
-            // exists where a fresh submission finds the key in neither
-            // tier and re-executes.
-            self.memo_put(&key, &outcome);
-            self.in_flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&key);
+            let mut flight = Flight {
+                service: self,
+                key: &key,
+                slot: &slot,
+                outcome: None,
+            };
+            // A panic is contained to this job: the leader answers with
+            // the same typed failure its followers receive.
+            let outcome = Arc::new(
+                catch_unwind(AssertUnwindSafe(|| self.execute(job))).unwrap_or_else(|payload| {
+                    Err(JobFailure::panicked(format!(
+                        "job panicked: {}",
+                        panic_message(payload.as_ref())
+                    )))
+                }),
+            );
+            flight.outcome = Some(Arc::clone(&outcome));
+            drop(flight);
             (outcome, false)
         } else {
             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
@@ -378,212 +424,49 @@ impl Service {
     }
 
     fn execute(&self, job: &JobSpec) -> JobOutcome {
+        #[cfg(test)]
+        {
+            let hook = *self
+                .before_execute
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            if let Some(hook) = hook {
+                hook(self);
+            }
+        }
+        let one = |name: &str, content: String| JobResult {
+            sections: vec![Section::new(name, content)],
+        };
         match job {
-            JobSpec::Compile(c) => self.run_compile(c, true, c.verify.mode().is_some()),
-            JobSpec::Characterize(c) => self.run_compile(c, false, false),
-            JobSpec::Verify(c) => self.run_compile(c, false, true),
-            JobSpec::RareYield(r) => self.run_rare(r),
-            JobSpec::Fleet(f) => self.run_fleet(f),
-            // Handled in submit(); unreachable here, but answer anyway
-            // instead of panicking.
+            JobSpec::Compile(c) => self.compile(c, true, c.verify.mode().is_some()),
+            JobSpec::Characterize(c) => self.compile(c, false, false),
+            JobSpec::Verify(c) => self.compile(c, false, true),
+            JobSpec::RareYield(r) => {
+                run::rare(r, None, self.jobs).map(|rare| one("rare.txt", rare.text(false)))
+            }
+            JobSpec::Fleet(f) => run::fleet(f, self.jobs, simulate_fleet_jobs)
+                .map(|text| one("fleet.txt", text)),
             JobSpec::Status => Ok(self.status_result()),
-            JobSpec::Ping => Ok(JobResult {
-                sections: vec![Section::new("pong.txt", "pong\n")],
-            }),
-            JobSpec::Shutdown => Ok(JobResult {
-                sections: vec![Section::new("shutdown.txt", "draining\n")],
-            }),
+            JobSpec::Ping => Ok(one("pong.txt", "pong\n".to_owned())),
+            JobSpec::Shutdown => Ok(one("shutdown.txt", "draining\n".to_owned())),
         }
     }
 
-    fn run_compile(&self, c: &CompileJob, artifacts: bool, verify: bool) -> JobOutcome {
-        let process = Process::by_name(&c.process)
-            .ok_or_else(|| JobFailure::bad_request(format!("unknown process {:?}", c.process)))?;
-        let params = RamParams::builder()
-            .words(c.words)
-            .bits_per_word(c.bpw)
-            .bits_per_column(c.bpc)
-            .spare_rows(c.spares)
-            .gate_size(c.gate_size)
-            .strap(c.strap_every, c.strap_lambda)
-            .process(process)
-            .build()
-            .map_err(|e| JobFailure::bad_request(e.to_string()))?;
-
-        let mut options = CompileOptions::new()
+    /// Runs a compile-family job on the shared cache; a dirty
+    /// verification fails the job with `422`.
+    fn compile(&self, c: &CompileJob, artifacts: bool, verify: bool) -> JobOutcome {
+        let options = CompileOptions::new()
             .with_cache(Arc::clone(&self.cache))
             .with_jobs(self.jobs)
             .with_verify(verify);
-        if let Some(mode) = c.verify.mode() {
-            options = options.with_verify_mode(mode);
-        }
-        let ram = compile_with(&params, &options)
-            .map_err(|e| JobFailure::job_failed(e.to_string()))?;
-
-        let mut sections = vec![Section::new("params.txt", JobSpec::Compile(c.clone()).canonical())];
-        if artifacts {
-            sections.push(Section::new("datasheet.txt", ram.datasheet().to_string()));
-            sections.push(Section::new(
-                "areas.txt",
-                format!(
-                    "{}\nBIST+BISR overhead: {:.3}% ({:.3}% counting spare rows)\nmodule: {:.4} mm2, utilization {:.1}%\n",
-                    ram.areas().report(),
-                    ram.areas().overhead_fraction() * 100.0,
-                    ram.areas().overhead_fraction_with_spares() * 100.0,
-                    ram.area_mm2(),
-                    ram.placement().utilization() * 100.0
-                ),
-            ));
-            sections.push(Section::new("floorplan.svg", ram.floorplan_svg()));
-            let (and_plane, or_plane) = ram.pla_planes();
-            sections.push(Section::new("trpla_and.plane", and_plane));
-            sections.push(Section::new("trpla_or.plane", or_plane));
-            sections.push(Section::new("sense_path.sp", ram.sense_path_spice()));
-            if c.cif {
-                if params.org().cells() > 200_000 {
-                    sections.push(Section::new(
-                        "layout.cif",
-                        "; skipped: module too large for a flattened export\n",
-                    ));
-                } else {
-                    sections.push(Section::new("layout.cif", ram.to_cif()));
-                }
-            }
-        }
-        let mut verify_clean = None;
-        if let Some(report) = ram.verify_report() {
-            verify_clean = Some(report.is_clean());
-            sections.push(Section::new("verify.txt", report.to_string()));
-        }
-
-        // The metric reduction the sweep orchestrator consumes. Keep
-        // the format stable: `metric <key>: <value>`, one per line.
-        let org = *params.org();
-        let overhead = ram.areas().overhead_fraction();
-        let yield_model = YieldModel::new(org, overhead);
-        let mttf = ReliabilityModel {
-            org,
-            lambda_per_hour: c.lambda,
-        }
-        .mttf_hours();
-        let y_bisr = yield_model.yield_with_bisr(c.defects);
-        let y_raw = yield_model.yield_without_bisr(c.defects);
-        let relative_cost = if y_bisr > 0.0 {
-            yield_model.growth_factor / y_bisr
-        } else {
-            f64::INFINITY
-        };
-        let mut metrics = String::new();
-        metrics.push_str(&format!("metric words: {}\n", c.words));
-        metrics.push_str(&format!("metric bpw: {}\n", c.bpw));
-        metrics.push_str(&format!("metric bpc: {}\n", c.bpc));
-        metrics.push_str(&format!("metric spares: {}\n", c.spares));
-        metrics.push_str(&format!("metric process: {}\n", c.process));
-        metrics.push_str(&format!("metric verify: {}\n", c.verify.name()));
-        metrics.push_str(&format!("metric area_mm2: {:.6}\n", ram.area_mm2()));
-        metrics.push_str(&format!(
-            "metric access_ns: {:.4}\n",
-            ram.datasheet().access_time_s * 1e9
-        ));
-        metrics.push_str(&format!("metric overhead_fraction: {overhead:.6}\n"));
-        metrics.push_str(&format!("metric yield_no_bisr: {y_raw:.6}\n"));
-        metrics.push_str(&format!("metric yield_bisr: {y_bisr:.6}\n"));
-        metrics.push_str(&format!(
-            "metric growth_factor: {:.6}\n",
-            yield_model.growth_factor
-        ));
-        metrics.push_str(&format!("metric relative_cost: {relative_cost:.6}\n"));
-        metrics.push_str(&format!("metric mttf_hours: {mttf:.3}\n"));
-        metrics.push_str(&format!(
-            "metric delay_masked: {}\n",
-            u8::from(params.delay_masking_guaranteed())
-        ));
-        if let Some(clean) = verify_clean {
-            metrics.push_str(&format!("metric verify_clean: {}\n", u8::from(clean)));
-        }
-        sections.push(Section::new("metrics.txt", metrics));
-
-        if verify_clean == Some(false) {
+        let compiled = run::compile(c, options, artifacts)?;
+        if compiled.verify_clean == Some(false) {
             return Err(JobFailure::job_failed(
-                "physical verification found violations".to_owned(),
+                "physical verification found violations",
             ));
         }
-        Ok(JobResult { sections })
-    }
-
-    fn run_rare(&self, r: &RareJob) -> JobOutcome {
-        let process = Process::by_name(&r.process)
-            .ok_or_else(|| JobFailure::bad_request(format!("unknown process {:?}", r.process)))?;
-        let kernel = TrialKernel::by_name(&r.kernel)
-            .ok_or_else(|| JobFailure::bad_request(format!("unknown kernel {:?}", r.kernel)))?;
-
-        let mut engine = RareEngine::for_process(&process, kernel, 0.0);
-        let (pilot_mean, pilot_std) = engine.metric_stats(r.seed, r.pilot, self.jobs);
-        engine.threshold = engine.calibrate_threshold(r.seed, r.pilot, r.target_p, self.jobs);
-        let shifts = engine.find_shifts();
-        let is = engine.run_is_mixture(r.seed, r.trials, self.jobs, &shifts);
-
-        let mut text = String::new();
-        text.push_str(&format!("rare process: {}\n", r.process));
-        text.push_str(&format!("rare kernel: {}\n", kernel.name()));
-        text.push_str(&format!("rare pilot_trials: {}\n", r.pilot));
-        text.push_str(&format!("rare pilot_mean: {pilot_mean:.6e}\n"));
-        text.push_str(&format!("rare pilot_std: {pilot_std:.6e}\n"));
-        text.push_str(&format!("rare threshold: {:.6e}\n", engine.threshold));
-        text.push_str(&format!("rare modes: {}\n", shifts.len()));
-        text.push_str(&format!("rare is_trials: {}\n", is.trials));
-        text.push_str(&format!("rare is_failures: {}\n", is.failures));
-        text.push_str(&format!("rare is_p_fail: {:.6e}\n", is.p_fail));
-        text.push_str(&format!("rare is_std_error: {:.6e}\n", is.std_error()));
         Ok(JobResult {
-            sections: vec![Section::new("rare.txt", text)],
-        })
-    }
-
-    fn run_fleet(&self, f: &FleetJob) -> JobOutcome {
-        let org = ArrayOrg::new(f.words, f.bpw, f.bpc, f.spares)
-            .map_err(|e| JobFailure::bad_request(e.to_string()))?;
-        let mut config = FieldConfig::new(org, f.lambda, f.period, f.horizon);
-        config.max_retries = f.retries;
-        config.transient_upset_probability = f.upset_prob;
-        config.spare_policy = f.policy;
-
-        let result = simulate_fleet_jobs(&config, f.lifetimes, f.seed, self.jobs);
-
-        let mut text = String::new();
-        text.push_str(&format!("fleet lifetimes: {}\n", result.lifetimes));
-        text.push_str(&format!("fleet deaths: {}\n", result.deaths));
-        text.push_str(&format!(
-            "fleet deaths_spare_fault: {}\n",
-            result.deaths_spare_fault
-        ));
-        text.push_str(&format!(
-            "fleet deaths_exhausted: {}\n",
-            result.deaths_exhausted
-        ));
-        text.push_str(&format!("fleet deaths_persist: {}\n", result.deaths_persist));
-        text.push_str(&format!("fleet sessions_run: {}\n", result.sessions_run));
-        text.push_str(&format!(
-            "fleet sessions_skipped: {}\n",
-            result.sessions_skipped
-        ));
-        text.push_str(&format!(
-            "fleet transients_dismissed: {}\n",
-            result.transients_dismissed
-        ));
-        text.push_str(&format!("fleet rows_repaired: {}\n", result.rows_repaired));
-        text.push_str(&format!("fleet mttf_hours: {:.3}\n", result.mttf_hours));
-        text.push_str("survival curve (t_hours  R_hat):\n");
-        for (t, rr) in result
-            .curve
-            .times_hours
-            .iter()
-            .zip(result.curve.survival.iter())
-        {
-            text.push_str(&format!("  {t:>12.1}  {rr:.6}\n"));
-        }
-        Ok(JobResult {
-            sections: vec![Section::new("fleet.txt", text)],
+            sections: compiled.sections,
         })
     }
 }
@@ -680,6 +563,64 @@ mod tests {
             .clone();
         assert!(text.contains("cache kind=control "), "{text}");
         assert!(text.contains("cache kind=leaf "), "{text}");
+    }
+
+    #[test]
+    fn a_panicking_leader_fails_its_followers_and_clears_the_flight() {
+        let service = Arc::new(Service::cold());
+        // Hold the leader until three followers have joined its flight,
+        // then unwind out of the execution.
+        *service.before_execute.lock().unwrap() = Some(|s: &Service| {
+            while s.counters().2 < 3 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            panic!("injected fault");
+        });
+        // Outcomes arrive over a channel with a deadline, so a wedged
+        // flight fails the test instead of hanging it.
+        let wait = std::time::Duration::from_secs(60);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitters: Vec<_> = (0..4)
+            .map(|_| {
+                let (service, tx) = (Arc::clone(&service), tx.clone());
+                std::thread::spawn(move || {
+                    let _ = tx.send(service.submit(&small_compile(64)).0);
+                })
+            })
+            .collect();
+        for _ in 0..4 {
+            let outcome = rx.recv_timeout(wait).expect("every submission is answered");
+            let failure = outcome
+                .as_ref()
+                .as_ref()
+                .expect_err("panic surfaces as a failure");
+            assert_eq!(failure.code, 500, "{failure}");
+            assert!(failure.message.contains("injected fault"), "{failure}");
+        }
+        for submitter in submitters {
+            submitter.join().expect("submit contains the panic");
+        }
+        let (_, executed, dedup_hits) = service.counters();
+        assert_eq!((executed, dedup_hits), (1, 3), "followers shared the one flight");
+
+        // The flight is gone: drain returns.
+        let (done, drained) = std::sync::mpsc::channel();
+        let drainer = Arc::clone(&service);
+        let drainer = std::thread::spawn(move || {
+            drainer.drain();
+            let _ = done.send(());
+        });
+        drained
+            .recv_timeout(wait)
+            .expect("drain returns after a panicked job");
+        drainer.join().expect("drainer exits");
+
+        // The failure was not memoized: the next identical request
+        // executes afresh.
+        *service.before_execute.lock().unwrap() = None;
+        let (outcome, deduped) = service.submit(&small_compile(64));
+        assert!(outcome.is_ok() && !deduped);
+        assert_eq!(service.counters().1, 2, "re-executed after the panic");
     }
 
     #[test]

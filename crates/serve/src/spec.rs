@@ -20,7 +20,7 @@
 //! 1-based line number.
 
 /// A parsed spec: ordered `(key, values)` entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Spec {
     entries: Vec<(String, Vec<String>)>,
 }
@@ -184,6 +184,22 @@ impl Spec {
         }
     }
 
+    /// Sets `key` to the single value `value`, replacing any earlier
+    /// values in place or appending a new entry.
+    pub fn set(&mut self, key: &str, value: impl Into<String>) {
+        let values = vec![value.into()];
+        match self.entries.iter_mut().find(|(k, _)| k == key) {
+            Some(entry) => entry.1 = values,
+            None => self.entries.push((key.to_owned(), values)),
+        }
+    }
+
+    /// Removes `key`, returning its values.
+    pub fn remove(&mut self, key: &str) -> Option<Vec<String>> {
+        let at = self.entries.iter().position(|(k, _)| k == key)?;
+        Some(self.entries.remove(at).1)
+    }
+
     /// The first key not in `allowed`, for strict consumers that
     /// reject unknown keys instead of silently ignoring a typo.
     pub fn unknown_key(&self, allowed: &[&str]) -> Option<&str> {
@@ -214,6 +230,17 @@ pub fn parse_u64(key: &str, v: &str) -> Result<u64, String> {
         .map_err(|_| format!("key {key:?}: expected a number, got {v:?}"))
 }
 
+/// Parses a non-negative integer into any type it must fit, naming the
+/// key in the error — an out-of-range value is rejected, never wrapped.
+///
+/// # Errors
+///
+/// A message naming the key and the offending text.
+pub fn parse_int<T: TryFrom<u64>>(key: &str, v: &str) -> Result<T, String> {
+    let n = parse_u64(key, v)?;
+    T::try_from(n).map_err(|_| format!("key {key:?}: {n} out of range"))
+}
+
 /// Parses a finite `f64` value, naming the key in the error.
 ///
 /// # Errors
@@ -224,6 +251,20 @@ pub fn parse_f64(key: &str, v: &str) -> Result<f64, String> {
         .ok()
         .filter(|x| x.is_finite())
         .ok_or_else(|| format!("key {key:?}: expected a finite number, got {v:?}"))
+}
+
+/// Parses a probability in `[0, 1]`, naming the key in the error.
+///
+/// # Errors
+///
+/// A message naming the key and the offending text.
+pub fn parse_probability(key: &str, v: &str) -> Result<f64, String> {
+    let p = parse_f64(key, v)?;
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("key {key:?}: probability {p} outside [0, 1]"))
+    }
 }
 
 /// Parses a boolean (`0`/`1`/`true`/`false`), naming the key in the
@@ -312,5 +353,23 @@ mod tests {
         assert!(!parse_bool("c", "false").unwrap());
         assert!(parse_bool("c", "yes").is_err());
         assert_eq!(parse_u64("s", "7").unwrap(), 7);
+        assert_eq!(parse_int::<u32>("r", "7").unwrap(), 7);
+        assert!(parse_int::<u32>("r", "4294967296")
+            .unwrap_err()
+            .contains("\"r\""));
+        assert_eq!(parse_probability("p", "0.5").unwrap(), 0.5);
+        assert!(parse_probability("p", "1.5").unwrap_err().contains("\"p\""));
+    }
+
+    #[test]
+    fn set_replaces_in_place_and_remove_takes_out() {
+        let mut spec = Spec::parse("a = 1\nb = 2, 3\n").unwrap();
+        spec.set("b", "4");
+        spec.set("c", "5");
+        assert_eq!(spec.remove("a").unwrap(), ["1"]);
+        assert_eq!(spec.remove("a"), None);
+        let keys: Vec<&str> = spec.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["b", "c"]);
+        assert_eq!(spec.scalar("b").unwrap(), "4");
     }
 }
