@@ -287,9 +287,10 @@ impl CompiledRam {
         out
     }
 
-    /// Full-detail CIF of the chip. **Flattens the entire hierarchy** —
-    /// intended for small modules and leaf-cell inspection; a 4 Mb array
-    /// produces a very large file.
+    /// Full-detail CIF of the chip: hierarchical (one symbol per
+    /// distinct cell, one call per instance) and exact to the DBU, so
+    /// its size follows the distinct cells and instances, not the
+    /// flattened shapes (see [`export::to_cif`]).
     pub fn to_cif(&self) -> String {
         export::to_cif(&self.floorplan.chip)
     }

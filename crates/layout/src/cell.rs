@@ -2,7 +2,7 @@
 
 use bisram_geom::{Port, Rect, Transform};
 use bisram_tech::Layer;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A placed instance of a master cell.
 #[derive(Debug, Clone)]
@@ -44,6 +44,19 @@ pub struct Cell {
     /// used. Tiling relies on outlines so cells abut exactly at their
     /// pitch even when drawn geometry is inset.
     outline: Option<Rect>,
+    /// The subtree summaries, computed on first read from the children's
+    /// own memos and reset by `add_shape` / `add_instance`, so a tiled
+    /// array is summarized once per distinct master, not once per tile.
+    summary: OnceLock<Summary>,
+}
+
+/// What a cell's subtree reduces to, memoized per cell.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    /// Bounding box of every flattened shape (`None` when there is none).
+    extent: Option<Rect>,
+    /// Number of flattened shapes.
+    shape_count: usize,
 }
 
 impl Cell {
@@ -63,6 +76,7 @@ impl Cell {
     /// Adds a rectangle on a layer.
     pub fn add_shape(&mut self, layer: Layer, rect: Rect) {
         self.shapes.push((layer, rect));
+        self.summary = OnceLock::new();
     }
 
     /// Adds a port.
@@ -77,6 +91,7 @@ impl Cell {
             master,
             transform,
         });
+        self.summary = OnceLock::new();
     }
 
     /// Sets an explicit outline (abutment box).
@@ -170,41 +185,45 @@ impl Cell {
     }
 
     /// The bounding box of every shape in the subtree, in local
-    /// coordinates — `Rect::EMPTY` for a cell with no geometry at all.
+    /// coordinates — `Rect::EMPTY` for a cell with no geometry at all
+    /// (tell that case apart with [`Cell::flat_shape_count`]` == 0`).
     /// Unlike [`Cell::bbox`] this ignores the outline override and ports:
     /// it bounds exactly what [`Cell::flatten`] would emit, so it is the
     /// conservative pruning frame for windowed flattening and the
-    /// abutment frame for hierarchical verification.
+    /// abutment frame for hierarchical verification. Memoized: costs
+    /// O(instances + distinct masters) once, then O(1).
     pub fn geometry_extent(&self) -> Rect {
-        self.geometry_extent_opt().unwrap_or(Rect::EMPTY)
+        self.summary().extent.unwrap_or(Rect::EMPTY)
     }
 
-    fn geometry_extent_opt(&self) -> Option<Rect> {
-        let own = Rect::bounding(self.shapes.iter().map(|&(_, r)| r));
-        let subs = self
-            .instances
-            .iter()
-            .filter_map(|i| {
-                i.master
-                    .geometry_extent_opt()
-                    .map(|e| i.transform.apply_rect(e))
-            })
-            .reduce(Rect::union);
-        match (own, subs) {
-            (Some(a), Some(b)) => Some(a.union(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Total shape count including the hierarchy (cheap complexity
-    /// metric used in reports).
+    /// Total shape count including the hierarchy, i.e. `flatten().len()`
+    /// (cheap complexity metric used in reports; memoized like
+    /// [`Cell::geometry_extent`]).
     pub fn flat_shape_count(&self) -> usize {
-        self.shapes.len()
-            + self
-                .instances
-                .iter()
-                .map(|i| i.master.flat_shape_count())
-                .sum::<usize>()
+        self.summary().shape_count
+    }
+
+    fn summary(&self) -> &Summary {
+        self.summary.get_or_init(|| {
+            let own = Rect::bounding(self.shapes.iter().map(|&(_, r)| r));
+            let kids = Rect::bounding(self.instances.iter().filter_map(|i| {
+                i.master.summary().extent.map(|e| i.transform.apply_rect(e))
+            }));
+            let extent = match (own, kids) {
+                (Some(a), Some(b)) => Some(a.union(b)),
+                (a, b) => a.or(b),
+            };
+            let shape_count = self.shapes.len()
+                + self
+                    .instances
+                    .iter()
+                    .map(|i| i.master.flat_shape_count())
+                    .sum::<usize>();
+            Summary {
+                extent,
+                shape_count,
+            }
+        })
     }
 }
 
@@ -352,5 +371,69 @@ mod tests {
             let mut it = flat.iter();
             assert!(sel.iter().all(|s| it.any(|f| f == s)), "not a subsequence");
         }
+    }
+
+    /// A random hierarchy: `levels` deep, each level's cells instancing
+    /// random earlier cells (shared `Arc`s) under random orientations,
+    /// with some cells left empty or holding only empty subtrees.
+    fn random_hierarchy(seed: u64, levels: usize) -> Vec<Arc<Cell>> {
+        use bisram_rng::rngs::StdRng;
+        use bisram_rng::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pool: Vec<Arc<Cell>> = vec![Arc::new(Cell::new("empty"))];
+        for level in 0..levels {
+            for k in 0..4 {
+                let mut c = Cell::new(format!("c{level}_{k}"));
+                for _ in 0..rng.gen_range(0..3usize) {
+                    let (x, y) = (rng.gen_range(-500i64..500), rng.gen_range(-500i64..500));
+                    let (w, h) = (rng.gen_range(0i64..90), rng.gen_range(0i64..90));
+                    c.add_shape(Layer::Metal1, Rect::new(x, y, x + w, y + h));
+                }
+                for i in 0..rng.gen_range(0..4usize) {
+                    let master = Arc::clone(&pool[rng.gen_range(0..pool.len())]);
+                    let o = Orientation::ALL[rng.gen_range(0..8usize)];
+                    let at = Point::new(rng.gen_range(-900i64..900), rng.gen_range(-900i64..900));
+                    c.add_instance(format!("i{i}"), master, Transform::new(o, at));
+                }
+                pool.push(Arc::new(c));
+            }
+        }
+        pool
+    }
+
+    #[test]
+    fn memoized_summaries_match_the_flattened_geometry() {
+        for seed in 0..24u64 {
+            for cell in random_hierarchy(0xce11_0000 + seed, 4) {
+                let flat = cell.flatten();
+                assert_eq!(cell.flat_shape_count(), flat.len(), "seed {seed} {}", cell.name());
+                let bound = Rect::bounding(flat.iter().map(|&(_, r)| r)).unwrap_or(Rect::EMPTY);
+                assert_eq!(cell.geometry_extent(), bound, "seed {seed} {}", cell.name());
+                // A second read is served from the memo and agrees.
+                assert_eq!(cell.geometry_extent(), bound);
+            }
+        }
+    }
+
+    #[test]
+    fn mutations_after_a_read_update_the_summaries() {
+        let summary = |c: &Cell| (c.geometry_extent(), c.flat_shape_count());
+        let mut c = Cell::new("c");
+        c.add_shape(Layer::Metal1, Rect::new(0, 0, 10, 10));
+        assert_eq!(summary(&c), (Rect::new(0, 0, 10, 10), 1));
+
+        c.add_shape(Layer::Poly, Rect::new(-5, 0, 0, 3));
+        assert_eq!(summary(&c), (Rect::new(-5, 0, 10, 10), 2));
+
+        c.add_instance("l", leaf(), Transform::translate(Point::new(100, 0)));
+        assert_eq!(summary(&c), (Rect::new(-5, 0, 200, 100), 3));
+
+        // A clone carries a correct memo and then evolves on its own.
+        let mut d = c.clone();
+        assert_eq!(summary(&d), summary(&c));
+        d.add_shape(Layer::Metal2, Rect::new(0, 0, 1, 500));
+        assert_eq!(summary(&d), (Rect::new(-5, 0, 200, 500), 4));
+        assert_eq!(summary(&c), (Rect::new(-5, 0, 200, 100), 3));
+        assert_eq!(d.flatten().len(), 4);
     }
 }

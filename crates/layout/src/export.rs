@@ -5,42 +5,122 @@
 //! stands in for the layout plots of the paper's Figs. 6 and 7.
 
 use crate::cell::Cell;
+use bisram_geom::{Orientation, Rect, Transform};
 use bisram_tech::Layer;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Renders a cell (flattened) as a CIF file.
+/// Renders a cell as a hierarchical CIF file.
 ///
-/// Each layer becomes an `L` command with its mask name; every rectangle
-/// becomes a `B width height cx cy` box. Coordinates are in centimicrons
-/// as CIF prescribes (1 DBU = 1 nm = 0.1 centimicron, so values are
-/// halved... rather: 1 centimicron = 10 nm, so DBU/10 with rounding).
+/// Every distinct cell of the hierarchy becomes one `DS`…`DF` symbol,
+/// children before parents, holding its own shapes as `B` boxes (grouped
+/// under one `L` mask-name command per layer) and one `C` call per
+/// instance: the orientation as `M X` / `M Y` then `R a b`, then the
+/// translation `T x y`. The file ends with a call of the root symbol.
+///
+/// CIF counts in centimicrons (10 nm) while the layout counts in DBU
+/// (1 nm), and a box is given by its centre, which for an odd width lies
+/// on the half-DBU grid. Every symbol is therefore defined at scale
+/// `DS n 1 20`, one unit = 0.5 nm, so every box and every call offset is
+/// represented exactly.
+///
+/// Symbols are numbered in first-use order and deduplicated by their
+/// rendered content, so the file depends only on the hierarchy's
+/// content, never on which cells happen to share an `Arc`. The work is
+/// O(distinct cells + instances), not O(flattened shapes).
 pub fn to_cif(cell: &Cell) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "(CIF generated by bisram-layout);");
-    let _ = writeln!(out, "DS 1 1 1;");
-    let _ = writeln!(out, "9 {};", sanitize(cell.name()));
-    let mut by_layer: Vec<(Layer, Vec<bisram_geom::Rect>)> = Vec::new();
-    for (layer, rect) in cell.flatten() {
-        match by_layer.iter_mut().find(|(l, _)| *l == layer) {
-            Some((_, v)) => v.push(rect),
-            None => by_layer.push((layer, vec![rect])),
+    let mut w = CifWriter {
+        out: String::new(),
+        by_body: HashMap::new(),
+        by_cell: HashMap::new(),
+    };
+    let _ = writeln!(w.out, "(CIF generated by bisram-layout);");
+    let top = w.symbol(cell);
+    let _ = writeln!(w.out, "C {top};");
+    let _ = writeln!(w.out, "E");
+    w.out
+}
+
+/// CIF units per DBU under the `DS n 1 20` symbol scale.
+const UNITS_PER_DBU: i64 = 2;
+
+struct CifWriter {
+    out: String,
+    /// Symbol number per rendered symbol body: the content dedup.
+    by_body: HashMap<String, usize>,
+    /// Symbol number per visited cell. Only a memo, so each shared
+    /// master is rendered once; numbers come from content, and the
+    /// address never reaches the output.
+    by_cell: HashMap<*const Cell, usize>,
+}
+
+impl CifWriter {
+    /// Defines `cell`'s symbol (after its children's) unless an equal
+    /// one exists, and returns its number.
+    fn symbol(&mut self, cell: &Cell) -> usize {
+        let key: *const Cell = cell;
+        if let Some(&n) = self.by_cell.get(&key) {
+            return n;
         }
-    }
-    by_layer.sort_by_key(|(l, _)| *l);
-    for (layer, rects) in by_layer {
-        let _ = writeln!(out, "L {};", layer.mask_name());
-        for r in rects {
-            // CIF: B length(width) height center-x center-y, centimicrons.
-            let w = r.width() / 10;
-            let h = r.height() / 10;
-            let c = r.center();
-            let _ = writeln!(out, "B {} {} {} {};", w, h, c.x / 10, c.y / 10);
+        let calls: Vec<usize> = cell
+            .instances()
+            .iter()
+            .map(|i| self.symbol(&i.master))
+            .collect();
+        let mut body = String::new();
+        let _ = writeln!(body, "9 {};", sanitize(cell.name()));
+        let mut shapes: Vec<&(Layer, Rect)> = cell.shapes().iter().collect();
+        shapes.sort_by_key(|(l, _)| *l);
+        let mut layer = None;
+        for &(l, r) in shapes {
+            if layer != Some(l) {
+                let _ = writeln!(body, "L {};", l.mask_name());
+                layer = Some(l);
+            }
+            // B width height centre-x centre-y, in half-DBU units.
+            let _ = writeln!(
+                body,
+                "B {} {} {} {};",
+                UNITS_PER_DBU * r.width(),
+                UNITS_PER_DBU * r.height(),
+                r.left() + r.right(),
+                r.bottom() + r.top()
+            );
         }
+        for (inst, n) in cell.instances().iter().zip(calls) {
+            let _ = writeln!(body, "C {n}{};", cif_transform(inst.transform));
+        }
+        let next = self.by_body.len() + 1;
+        let out = &mut self.out;
+        let n = *self.by_body.entry(body).or_insert_with_key(|body| {
+            let _ = writeln!(out, "DS {next} 1 20;");
+            out.push_str(body);
+            let _ = writeln!(out, "DF;");
+            next
+        });
+        self.by_cell.insert(key, n);
+        n
     }
-    let _ = writeln!(out, "DF;");
-    let _ = writeln!(out, "C 1;");
-    let _ = writeln!(out, "E");
-    out
+}
+
+/// The CIF transformation list of a placement: mirror, rotate, then
+/// translate (CIF applies the list left to right).
+fn cif_transform(t: Transform) -> String {
+    let orient = match t.orientation {
+        Orientation::R0 => "",
+        Orientation::R90 => " R 0 1",
+        Orientation::R180 => " R -1 0",
+        Orientation::R270 => " R 0 -1",
+        Orientation::Mx => " M Y",
+        Orientation::My => " M X",
+        Orientation::MxR90 => " M Y R 0 1",
+        Orientation::MyR90 => " M X R 0 1",
+    };
+    format!(
+        "{orient} T {} {}",
+        UNITS_PER_DBU * t.offset.x,
+        UNITS_PER_DBU * t.offset.y
+    )
 }
 
 /// Fill colors per layer for the SVG plot (loosely following Magic's
@@ -111,24 +191,40 @@ fn sanitize(name: &str) -> String {
 }
 
 #[cfg(test)]
+#[path = "../tests/cif_reader/mod.rs"]
+mod cif_reader;
+
+#[cfg(test)]
 mod tests {
+    use super::cif_reader;
     use super::*;
-    use crate::leaf;
+    use crate::{leaf, tile};
     use bisram_tech::Process;
+    use std::sync::Arc;
 
     #[test]
     fn cif_contains_all_layers_and_valid_structure() {
         let cell = leaf::sram6t(&Process::cda07());
         let cif = to_cif(&cell);
         assert!(cif.starts_with("(CIF"));
-        assert!(cif.contains("DS 1 1 1;"));
-        assert!(cif.trim_end().ends_with('E'));
+        assert!(cif.contains("DS 1 1 20;"));
+        assert!(cif.trim_end().ends_with("C 1;\nE"));
         for mask in ["CPG", "CMF", "CMS", "CAA"] {
             assert!(cif.contains(&format!("L {mask};")), "missing {mask}");
         }
-        // Box count equals flattened shape count.
-        let boxes = cif.lines().filter(|l| l.starts_with("B ")).count();
-        assert_eq!(boxes, cell.flatten().len());
+        // Read back, the file is exactly the flattened geometry.
+        assert_eq!(cif_reader::flatten(&cif), cif_reader::expected(&cell.flatten()));
+    }
+
+    #[test]
+    fn cif_defines_each_master_once_and_calls_it_per_instance() {
+        let master = Arc::new(leaf::sram6t(&Process::cda05()));
+        let array = tile::tile_grid("arr", master, 3, 4);
+        let cif = to_cif(&array);
+        assert_eq!(cif.matches("DS ").count(), 2);
+        assert_eq!(cif.lines().filter(|l| l.starts_with("C 1 ")).count(), 12);
+        // Odd-λ process: the boxes still land exactly.
+        assert_eq!(cif_reader::flatten(&cif), cif_reader::expected(&array.flatten()));
     }
 
     #[test]

@@ -170,7 +170,7 @@ pub fn place_with_options(macros: Vec<Macro>, options: PlacerOptions) -> Placeme
     // step with `placed`.
     let mut extents: Vec<Rect> = Vec::new();
     for m in sorted {
-        let ext = geometry_extent(&m.cell);
+        let ext = placement_extent(&m.cell);
         let t = best_position(&placed, &extents, &m, ext, &options);
         extents.push(t.apply_rect(ext));
         placed.push(PlacedMacro {
@@ -188,11 +188,15 @@ pub fn place_with_options(macros: Vec<Macro>, options: PlacerOptions) -> Placeme
 /// into one region; the placer must keep its clearance from the
 /// overhang too, or cross-macro spacing rules (the n-well's, the
 /// widest) can be violated by geometry the abutment box doesn't cover.
-/// For overhang-free macros this is exactly `cell.bbox()`.
-fn geometry_extent(cell: &Cell) -> Rect {
+/// For overhang-free macros this is exactly `cell.bbox()`. The extent
+/// is memoized in the cell, so no macro is flattened here.
+fn placement_extent(cell: &Cell) -> Rect {
     let outline = cell.bbox();
-    Rect::bounding(cell.flatten().into_iter().map(|(_, r)| r))
-        .map_or(outline, |shapes| outline.union(shapes))
+    if cell.flat_shape_count() == 0 {
+        outline
+    } else {
+        outline.union(cell.geometry_extent())
+    }
 }
 
 fn best_position(

@@ -42,7 +42,7 @@
 
 use bisram_exec::resolve_jobs;
 use bisram_mem::ArrayOrg;
-use bisram_serve::run::{self, CIF_SKIPPED};
+use bisram_serve::run;
 use bisram_serve::spec::{parse_f64, parse_int, parse_probability, parse_u64, parse_usize};
 use bisram_serve::{
     process_by_name, run_sweep, Client, ClientError, CompileJob, Daemon, DaemonConfig, FleetJob,
@@ -134,7 +134,7 @@ OPTIONS:
   --gate-size N    critical-gate size factor >= 1 (default 2)
   --strap E:L      strap gap of L lambda every E columns; 0:0 disables (default 32:12)
   --out DIR        output directory (default bisramgen_out)
-  --cif            also write the flattened CIF (small modules only)
+  --cif            also write the hierarchical CIF (exact to 1 nm)
   --jobs N         macrocell worker threads (default: BISRAM_JOBS, then all cores)
   --timings        print the per-stage pipeline trace (wall time, cache hits)
   --verify         run physical verification (DRC + extraction + LVS) on every
@@ -465,10 +465,6 @@ fn compile(mut spec: Spec, _: Vec<String>) -> Result<(), CliError> {
     std::fs::create_dir_all(&out)
         .map_err(|e| CliError::failure(format!("creating {out:?}: {e}")))?;
     for section in &compiled.sections {
-        if section.name == "layout.cif" && section.content == CIF_SKIPPED {
-            eprintln!("  skipping CIF: module too large for a flattened export");
-            continue;
-        }
         let path = out.join(&section.name);
         std::fs::write(&path, &section.content)
             .map_err(|e| CliError::failure(format!("writing {path:?}: {e}")))?;

@@ -90,7 +90,7 @@ pub struct CompileJob {
     pub strap_lambda: i64,
     /// Physical verification choice.
     pub verify: VerifyChoice,
-    /// Whether to stream the flattened CIF artifact.
+    /// Whether to stream the hierarchical CIF artifact.
     pub cif: bool,
     /// Average defects per chip, for the yield metrics.
     pub defects: f64,

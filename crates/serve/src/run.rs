@@ -16,14 +16,6 @@ use bisram_yield::repairability::YieldModel;
 use bisramgen::field::{FieldConfig, FleetResult};
 use bisramgen::{compile_with, CompileOptions, CompiledRam};
 
-/// Modules with more cells than this stream [`CIF_SKIPPED`] in place of
-/// a flattened CIF: the flat export grows with every placed shape.
-const CIF_MAX_CELLS: usize = 200_000;
-
-/// The one-line `layout.cif` section streamed in place of a flattened
-/// CIF for a module too large to flatten.
-pub const CIF_SKIPPED: &str = "; skipped: module too large for a flattened export\n";
-
 /// A finished compile: the module and its rendered sections.
 pub struct Compiled {
     /// The compiled module, for reporting beyond the sections (trace,
@@ -79,12 +71,7 @@ pub fn compile(
         sections.push(Section::new("trpla_or.plane", or_plane));
         sections.push(Section::new("sense_path.sp", ram.sense_path_spice()));
         if job.cif {
-            let cif = if params.org().cells() > CIF_MAX_CELLS {
-                CIF_SKIPPED.to_owned()
-            } else {
-                ram.to_cif()
-            };
-            sections.push(Section::new("layout.cif", cif));
+            sections.push(Section::new("layout.cif", ram.to_cif()));
         }
     }
     let verify_clean = ram.verify_report().map(|report| {

@@ -624,6 +624,30 @@ mod tests {
     }
 
     #[test]
+    fn the_default_cif_answer_fits_in_one_frame() {
+        // The default 1024 x 32 organization; its flattened CIF was an
+        // 18 MB section, above the frame limit.
+        let job = JobSpec::parse("job = compile\ncif = 1\n").expect("valid spec");
+        let (outcome, _) = Service::cold().submit(&job);
+        let result = outcome.as_ref().as_ref().expect("job ok");
+        let cif = result.section("layout.cif").expect("cif section");
+        assert!(cif.ends_with(";\nE\n"), "complete CIF");
+        for section in &result.sections {
+            let frame = crate::proto::RespFrame::Section {
+                name: section.name.clone(),
+                content: section.content.clone(),
+            }
+            .encode();
+            assert!(
+                frame.len() <= bisram_wire::MAX_FRAME_BYTES as usize,
+                "{} frame is {} bytes",
+                section.name,
+                frame.len()
+            );
+        }
+    }
+
+    #[test]
     fn fleet_and_rare_jobs_run_end_to_end() {
         let service = Service::cold();
         let fleet = JobSpec::parse(

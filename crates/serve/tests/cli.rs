@@ -105,6 +105,32 @@ fn compile_writes_the_compile_jobs_sections_byte_for_byte() {
 }
 
 #[test]
+fn a_large_compile_with_cif_writes_the_complete_hierarchical_cif() {
+    // 8192 x 32 = 262 144 cells: above the size at which the CIF used to
+    // be replaced by a one-line stub.
+    let dir = std::env::temp_dir().join(format!("bisramgen_cli_cif_{}", std::process::id()));
+    let out = bisramgen()
+        .args(["--words", "8192", "--bpw", "32", "--cif", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("skipping"), "{err}");
+    let written = std::fs::read_to_string(dir.join("layout.cif")).expect("CLI wrote layout.cif");
+    assert!(written.starts_with("(CIF generated by bisram-layout);\n"));
+    assert!(written.ends_with(";\nE\n"), "file is complete");
+    assert!(written.contains("9 ram_array;\n"), "the array is defined");
+    let sections = job_sections("job = compile\nwords = 8192\nbpw = 32\ncif = 1\n");
+    let (_, content) = sections
+        .iter()
+        .find(|(n, _)| n == "layout.cif")
+        .expect("job streams layout.cif");
+    assert!(written == *content, "layout.cif differs between the CLI and the job");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fleet_prints_the_fleet_jobs_section() {
     let out = bisramgen()
         .args([

@@ -150,6 +150,47 @@ fn parallel_and_cached_compiles_match_the_serial_cold_path() {
 }
 
 #[test]
+fn layout_cif_is_byte_identical_across_workers_and_cache_sharing() {
+    // The hierarchical CIF numbers its symbols by content, so neither
+    // the worker count nor which masters a warm shared cache hands back
+    // (and so which `Arc`s coincide) may show in its bytes.
+    let params = RamParams::builder()
+        .words(1024)
+        .bits_per_word(16)
+        .bits_per_column(4)
+        .spare_rows(4)
+        .build()
+        .expect("valid parameters");
+    let reference = compile_with(&params, &CompileOptions::cold().with_jobs(1))
+        .expect("serial cold compile")
+        .to_cif();
+    assert!(reference.ends_with(";\nE\n"));
+    for jobs in [2, 8] {
+        let cold = compile_with(&params, &CompileOptions::cold().with_jobs(jobs))
+            .expect("parallel cold compile");
+        assert!(cold.to_cif() == reference, "jobs={jobs}: cold CIF diverged from serial");
+    }
+    // A shared cache warmed first by another word width (its row-pitched
+    // macros are reused) and then by this organization itself.
+    let cache = std::sync::Arc::new(bisramgen::CellCache::new());
+    let other = RamParams::builder()
+        .words(1024)
+        .bits_per_word(8)
+        .bits_per_column(4)
+        .spare_rows(4)
+        .build()
+        .expect("valid parameters");
+    compile_with(&other, &CompileOptions::new().with_cache(cache.clone()).with_jobs(2))
+        .expect("warm-up compile");
+    for jobs in [1, 2, 8] {
+        let options = CompileOptions::new().with_cache(cache.clone()).with_jobs(jobs);
+        let warm = compile_with(&params, &options).expect("warm compile");
+        assert!(warm.trace().cache_hits() > 0, "jobs={jobs}: no cache hits");
+        assert!(warm.to_cif() == reference, "jobs={jobs}: warm CIF diverged from cold");
+    }
+}
+
+#[test]
 fn verify_report_is_byte_identical_across_worker_counts() {
     // Physical verification fans out per-macrocell on the executor and
     // caches per-macro results; neither may leak into the report. The

@@ -2,6 +2,9 @@
 //! cells and arrays in every process, pitch-consistent macrocells,
 //! exportable geometry, and area accounting that adds up.
 
+#[path = "../crates/layout/tests/cif_reader/mod.rs"]
+mod cif_reader;
+
 use bisram_layout::{export, leaf, tile};
 use bisram_tech::{drc, Process};
 use bisramgen::{compile, RamParams};
@@ -65,7 +68,8 @@ fn exports_are_consistent_with_geometry() {
     let flat = array.flatten();
     let cif = export::to_cif(&array);
     let svg = export::to_svg(&array);
-    assert_eq!(cif.lines().filter(|l| l.starts_with("B ")).count(), flat.len());
+    // The hierarchical CIF reads back to exactly the flattened shapes.
+    assert_eq!(cif_reader::flatten(&cif), cif_reader::expected(&flat));
     assert_eq!(svg.matches("<rect").count(), flat.len());
 }
 
